@@ -147,8 +147,9 @@ let kernel_tests () =
           fun () -> Subscale.Sta.Power.analyze lib d ~frequency:1e5));
   ]
 
-(* The TCAD hot path, benched stage by stage: Poisson half-step, Gummel
-   outer loop (equilibrium and a biased solve), Extract post-processing.
+(* The TCAD hot path, benched stage by stage: Poisson half-step, the
+   Stencil5 band LU under it, Gummel outer loop (equilibrium and a biased
+   solve), Extract post-processing.
    These are the rows BENCH_tcad.json records — ROADMAP item 1 wants the
    trajectory of exactly this chain, so the names are stable. *)
 let tcad_chain_tests () =
@@ -166,12 +167,38 @@ let tcad_chain_tests () =
   let sweep =
     Subscale.Exec.Memo.disabled (fun () -> Subscale.Tcad.Extract.id_vg dev ~vd:0.05)
   in
+  (* The LU layer alone: the Jacobian a converged 45 nm Poisson solve left
+     assembled in its scratch (Vg = 0.3 V, Vd = 50 mV on the default mesh),
+     factored and solved again on every run.  The solve leaves the
+     diagonals and rhs intact, so every run does the same work. *)
+  let lu45 =
+    let phys45 =
+      List.find (fun p -> p.Subscale.Device.Params.node_nm = 45) Subscale.Device.Params.paper_table2
+    in
+    let nfet45 =
+      (Subscale.Circuits.Inverter.pair_of_physical phys45).Subscale.Circuits.Inverter.nfet
+    in
+    let dev45 =
+      Subscale.Tcad.Structure.build (Subscale.Device.Compact.to_tcad_description nfet45)
+    in
+    let eq45 = Subscale.Exec.Memo.disabled (fun () -> Subscale.Tcad.Gummel.equilibrium dev45) in
+    let scratch = Subscale.Tcad.Poisson.make_scratch dev45 in
+    ignore
+      (Subscale.Tcad.Poisson.solve ~scratch dev45 ~biases:on_bias
+         ~phi_n:eq45.Subscale.Tcad.Gummel.phi_n ~phi_p:eq45.Subscale.Tcad.Gummel.phi_p
+         ~psi0:eq45.Subscale.Tcad.Gummel.psi);
+    scratch
+  in
   [
     Test.make ~name:"tcad/poisson-zero-bias"
       (Staged.stage (fun () ->
            Subscale.Tcad.Poisson.solve dev ~biases:Subscale.Tcad.Poisson.zero_bias
              ~phi_n:eq.Subscale.Tcad.Gummel.phi_n ~phi_p:eq.Subscale.Tcad.Gummel.phi_p
              ~psi0:(Subscale.Tcad.Poisson.equilibrium_guess dev)));
+    Test.make ~name:"tcad/stencil5-solve"
+      (Staged.stage (fun () ->
+           Subscale.Numerics.Stencil5.solve lu45.Subscale.Tcad.Poisson.sys
+             ~dst:lu45.Subscale.Tcad.Poisson.work));
     Test.make ~name:"tcad/gummel-equilibrium"
       (Staged.stage (fun () ->
            Subscale.Exec.Memo.disabled (fun () -> Subscale.Tcad.Gummel.equilibrium dev)));

@@ -11,7 +11,9 @@ type t = {
   flush_threshold : int;
   locks : Mutex.t array; (* one per shard directory *)
   pending : (string * string, string) Hashtbl.t; (* (name, key) -> payload *)
-  pending_lock : Mutex.t;
+  inflight : (string * string, string) Hashtbl.t;
+      (* taken from [pending] by a drain, not yet on disk *)
+  pending_lock : Mutex.t; (* guards [pending] and [inflight] *)
   closed : bool Atomic.t; (* read unlocked by check_open on every operation *)
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -135,15 +137,32 @@ let[@blocking_ok] read_entry t ~name ~key =
 
 (* --- write-behind queue ----------------------------------------------- *)
 
+(* A drained record stays in [inflight] until its write has been tried, so
+   a [find] racing the drain sees it in memory rather than missing both the
+   queue and the disk.  Only the batch's own payload is dropped: a newer
+   one queued and drained meanwhile by another domain stays. *)
+let forget_inflight t batch =
+  Mutex.protect t.pending_lock (fun () ->
+      List.iter
+        (fun (k, payload) ->
+          match Hashtbl.find_opt t.inflight k with
+          | Some p when p == payload -> Hashtbl.remove t.inflight k
+          | Some _ | None -> ())
+        batch)
+
 let drain t batch =
   if batch <> [] then begin
-    List.iter (fun ((name, key), payload) -> write_entry t ~name ~key payload) batch;
+    Fun.protect
+      ~finally:(fun () -> forget_inflight t batch)
+      (fun () ->
+        List.iter (fun ((name, key), payload) -> write_entry t ~name ~key payload) batch);
     Atomic.incr t.flushes
   end
 
 let take_pending t =
   Mutex.protect t.pending_lock (fun () ->
       let batch = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending [] in
+      List.iter (fun (k, v) -> Hashtbl.replace t.inflight k v) batch;
       Hashtbl.reset t.pending;
       batch)
 
@@ -163,7 +182,10 @@ let add t ~name ~key payload =
 let find t ~name ~key =
   check_open t ~ctx:"find";
   let queued =
-    Mutex.protect t.pending_lock (fun () -> Hashtbl.find_opt t.pending (name, key))
+    Mutex.protect t.pending_lock (fun () ->
+        match Hashtbl.find_opt t.pending (name, key) with
+        | Some _ as v -> v
+        | None -> Hashtbl.find_opt t.inflight (name, key))
   in
   let found =
     match queued with Some _ as v -> v | None -> read_entry t ~name ~key
@@ -204,6 +226,7 @@ let open_store ?(flush_threshold = 16) ~dir () =
       flush_threshold;
       locks = Array.init shards (fun _ -> Mutex.create ());
       pending = Hashtbl.create 32;
+      inflight = Hashtbl.create 32;
       pending_lock = Mutex.create ();
       closed = Atomic.make false;
       hits = Atomic.make 0;

@@ -2,10 +2,20 @@
    with nodes ordered k = ix * ny + iy: the only nonzero diagonals are
    0, +-1 and +-m (m = ny).  Assembly writes those five flat diagonals
    directly; the solve expands them into a row-major band workspace and
-   runs an LU without pivoting (the systems are diagonally dominant), with
-   every inner loop a contiguous unsafe walk over one Fvec.  The workspace
-   is owned by [t], so a solver that reuses one stencil across iterations
-   allocates nothing per solve.
+   runs an LU without pivoting (the systems are diagonally dominant).  The
+   workspace is owned by [t], so a solver that reuses one stencil across
+   iterations allocates nothing per solve.
+
+   The factorization is right-looking: pivot k updates rows k+1 .. k+m over
+   columns k+1 .. k+m, i.e. about n m^2 multiply-subtracts, which is nearly
+   all of a TCAD bias point's LU time.  That row update is unrolled by four
+   (a scalar loop takes the 0-3 leftover columns), which removes most of
+   the loop-control work per element.  The unrolling is bit-identical to
+   the plain loop and to the column-oriented reference LU the tests hold it
+   against ([Banded.solve_in_place] in test/) because of one invariant:
+   every band element receives its updates in ascending pivot order k, each
+   as the same expression [a -. f *. b], and no two updates are fused or
+   reassociated.  Unrolling only regroups independent elements of one row.
 
    Hot loops apply the Bigarray primitives directly (module alias [BA1])
    rather than through [Fvec]'s wrappers: without flambda, a cross-module
@@ -107,10 +117,9 @@ let mat_vec a x y =
 
 (* Expand diagonals into the band, factor (LU, no pivoting; fill stays
    within the band) and solve.  Elimination is column-by-column in the same
-   order as [Banded.solve_in_place], so the float sequence — hence the
-   result — matches the generic path bit for bit on the same matrix. *)
-let solve a ~dst =
-  if Fvec.length dst <> a.n then invalid_arg "Stencil5.solve: dst length mismatch";
+   order as the reference LU, so the float sequence — hence the result —
+   matches it bit for bit on the same matrix. *)
+let factor_solve a dst =
   let { n; m; dl2; dl1; d0; du1; du2; rhs; band } = a in
   let w = (2 * m) + 1 in
   Fvec.fill band 0.0;
@@ -118,15 +127,20 @@ let solve a ~dst =
      of assign: when m = 1 (a single-row mesh) the +-1 and +-m diagonals
      coincide, and [mat_vec] sums them — plain assignment would silently
      drop whichever was expanded first.  The band is zero-filled, so for
-     m > 1 accumulation is the same stores as before. *)
-  let acc i v = BA1.unsafe_set band i (BA1.unsafe_get band i +. v) in
+     m > 1 accumulation is the same stores as before.  The accumulates
+     are written out rather than shared through a local helper, whose
+     float argument would be boxed on every call. *)
   for i = 0 to n - 1 do
     let base = (i * w) + m in
-    if i >= m then acc (base - m) (BA1.unsafe_get dl2 i);
-    if i >= 1 then acc (base - 1) (BA1.unsafe_get dl1 i);
+    if i >= m then
+      BA1.unsafe_set band (base - m) (BA1.unsafe_get band (base - m) +. BA1.unsafe_get dl2 i);
+    if i >= 1 then
+      BA1.unsafe_set band (base - 1) (BA1.unsafe_get band (base - 1) +. BA1.unsafe_get dl1 i);
     BA1.unsafe_set band base (BA1.unsafe_get d0 i);
-    if i + 1 < n then acc (base + 1) (BA1.unsafe_get du1 i);
-    if i + m < n then acc (base + m) (BA1.unsafe_get du2 i)
+    if i + 1 < n then
+      BA1.unsafe_set band (base + 1) (BA1.unsafe_get band (base + 1) +. BA1.unsafe_get du1 i);
+    if i + m < n then
+      BA1.unsafe_set band (base + m) (BA1.unsafe_get band (base + m) +. BA1.unsafe_get du2 i)
   done;
   Fvec.blit rhs dst;
   for k = 0 to n - 1 do
@@ -142,7 +156,20 @@ let solve a ~dst =
       let f = BA1.unsafe_get band (bi + k) /. pivot in
       if not (Float.equal f 0.0) then begin
         BA1.unsafe_set band (bi + k) f;
-        for j = k + 1 to jmax do
+        (* A(i, j) -= f A(k, j) for j = k+1 .. jmax, four columns a trip. *)
+        let j = ref (k + 1) in
+        while !j + 3 <= jmax do
+          let t = bi + !j and s = bk + !j in
+          BA1.unsafe_set band t (BA1.unsafe_get band t -. (f *. BA1.unsafe_get band s));
+          BA1.unsafe_set band (t + 1)
+            (BA1.unsafe_get band (t + 1) -. (f *. BA1.unsafe_get band (s + 1)));
+          BA1.unsafe_set band (t + 2)
+            (BA1.unsafe_get band (t + 2) -. (f *. BA1.unsafe_get band (s + 2)));
+          BA1.unsafe_set band (t + 3)
+            (BA1.unsafe_get band (t + 3) -. (f *. BA1.unsafe_get band (s + 3)));
+          j := !j + 4
+        done;
+        for j = !j to jmax do
           BA1.unsafe_set band (bi + j)
             (BA1.unsafe_get band (bi + j) -. (f *. BA1.unsafe_get band (bk + j)))
         done;
@@ -159,3 +186,16 @@ let solve a ~dst =
     done;
     BA1.unsafe_set dst i (!s /. BA1.unsafe_get band (bi + i))
   done
+
+(* The span is opened and closed by hand rather than through
+   [Obs.Trace.with_span], whose thunk would be one closure allocation per
+   solve: with tracing off this wrapper is one atomic load and no
+   allocation. *)
+let solve a ~dst =
+  if Fvec.length dst <> a.n then invalid_arg "Stencil5.solve: dst length mismatch";
+  let span = Obs.Trace.start ~cat:"numerics" "stencil5.solve" in
+  match factor_solve a dst with
+  | () -> Obs.Trace.stop span
+  | exception e ->
+    Obs.Trace.stop ~attrs:[ ("raised", Obs.Trace.S (Printexc.to_string e)) ] span;
+    raise e

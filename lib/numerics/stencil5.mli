@@ -2,13 +2,16 @@
     tensor mesh with nodes ordered [k = ix * ny + iy]: nonzero diagonals
     only at offsets 0, +-1 and +-m (m = ny).
 
-    Unlike the generic {!Banded} path — which stores and clears the full
-    (2m+1)-diagonal band on every assembly — assembly here touches exactly
-    the five stencil diagonals, and the LU workspace (where fill-in lives)
-    is owned by the value, so a solver reusing one stencil across Newton /
-    Gummel iterations allocates nothing per solve.  On the same matrix the
-    solve is bit-identical to [Banded.solve_in_place] (same elimination
-    order, no pivoting). *)
+    Assembly touches exactly the five stencil diagonals, and the LU
+    workspace (where fill-in lives) is owned by the value, so a solver
+    reusing one stencil across Newton / Gummel iterations allocates nothing
+    per solve.  On the same matrix the solve is bit-identical to a plain
+    column-by-column band LU without pivoting (the test suite's
+    [Banded.solve_in_place] oracle): the unrolled elimination applies each
+    element's updates in the same order with the same expression.
+
+    Each {!solve} is one ["stencil5.solve"] span (category ["numerics"])
+    when [Obs.Trace] is on; off, the span costs one atomic load. *)
 
 type t
 

@@ -38,6 +38,10 @@ let terminal_bias (biases : Poisson.biases) = function
 (* Ohmic-contact Slotboom value: electrons u = e^{-V/vt}, holes w = e^{V/vt}. *)
 let contact_u ~sign vt biases term = safe_exp (-.sign *. terminal_bias biases term /. vt)
 
+let carrier_attrs = function
+  | Electrons -> [ ("carrier", Obs.Trace.S "electrons") ]
+  | Holes -> [ ("carrier", Obs.Trace.S "holes") ]
+
 let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
   let mesh = dev.Structure.mesh in
   let nx = mesh.Mesh.nx and ny = mesh.Mesh.ny in
@@ -46,6 +50,8 @@ let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
     invalid_arg
       (Printf.sprintf "Continuity.solve: psi length mismatch (psi has %d, %dx%d mesh needs %d)"
          (Field.length psi) nx ny n_nodes);
+  Obs.Trace.with_span ~cat:"tcad" ~attrs:(carrier_attrs carrier) "continuity.solve"
+  @@ fun () ->
   let hx = mesh.Mesh.hx and hy = mesh.Mesh.hy in
   let wxs = mesh.Mesh.wx and wys = mesh.Mesh.wy in
   let vt = dev.Structure.vt and ni = dev.Structure.ni in
@@ -55,7 +61,7 @@ let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
     | Electrons -> dev.Structure.mobility_n
     | Holes -> dev.Structure.mobility_p
   in
-  let a =
+  let a, arg, bz =
     match scratch with
     | Some (s : Poisson.scratch) ->
       if
@@ -69,9 +75,25 @@ let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
              (Numerics.Stencil5.order s.Poisson.sys)
              (Numerics.Stencil5.offset s.Poisson.sys)
              nx ny n_nodes ny);
-      s.Poisson.sys
-    | None -> Numerics.Stencil5.create ~n:n_nodes ~m:ny
+      if Field.length s.Poisson.arg <> n_nodes || Field.length s.Poisson.bz <> n_nodes then
+        invalid_arg
+          (Printf.sprintf
+             "Continuity.solve: scratch work vectors have lengths %d and %d, %dx%d mesh \
+              needs %d"
+             (Field.length s.Poisson.arg) (Field.length s.Poisson.bz) nx ny n_nodes);
+      (s.Poisson.sys, s.Poisson.arg, s.Poisson.bz)
+    | None ->
+      (Numerics.Stencil5.create ~n:n_nodes ~m:ny, Field.create n_nodes, Field.create n_nodes)
   in
+  (* The Boltzmann exponent s psi/vT and its clamped exponential, once per
+     node: every edge, the SRH term and the density below read these
+     instead of calling [exp] again.  The values are the very floats
+     [exp_average] would compute, so the assembly is bit-identical. *)
+  for k = 0 to n_nodes - 1 do
+    let x = sign *. BA1.unsafe_get psi k /. vt in
+    BA1.unsafe_set arg k x;
+    BA1.unsafe_set bz k (safe_exp x)
+  done;
   let bmask = dev.Structure.bmask in
   (* Applied terminal biases indexed by [mask code - first_ohmic]. *)
   let contact =
@@ -94,13 +116,19 @@ let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
           ~rhs:(Array.unsafe_get contact (code - Field.Mask.first_ohmic))
       else begin
         let wy = Array.unsafe_get wys iy in
-        let psi_k = BA1.unsafe_get psi k in
+        let arg_k = BA1.unsafe_get arg k and bz_k = BA1.unsafe_get bz k in
         let mob_k = BA1.unsafe_get mob k in
         let diag = ref 0.0 and rhs = ref 0.0 in
         let edge k' area inv_dist =
+          (* [exp_average] from the cached per-node values, same branches. *)
+          let arg_k' = BA1.unsafe_get arg k' in
+          let d = arg_k' -. arg_k in
+          let avg =
+            if Float.abs d < 1e-9 then safe_exp (0.5 *. (arg_k +. arg_k'))
+            else (BA1.unsafe_get bz k' -. bz_k) /. d
+          in
           let g =
-            0.5 *. (mob_k +. BA1.unsafe_get mob k') *. vt *. ni *. area *. inv_dist
-            *. exp_average ~sign vt psi_k (BA1.unsafe_get psi k')
+            0.5 *. (mob_k +. BA1.unsafe_get mob k') *. vt *. ni *. area *. inv_dist *. avg
           in
           diag := !diag +. g;
           g
@@ -124,7 +152,7 @@ let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
              Float.max 1e-30 ((tau_p *. (n_lag +. ni)) +. (tau_n *. (p_lag +. ni)))
            in
            let opposite = match carrier with Electrons -> p_lag | Holes -> n_lag in
-           let v_lag = opposite /. ni *. safe_exp (sign *. psi_k /. vt) in
+           let v_lag = opposite /. ni *. bz_k in
            diag := !diag +. (vol *. ni *. ni *. v_lag /. denom);
            rhs := !rhs +. (vol *. ni *. ni /. denom));
         let d = !diag in
@@ -141,10 +169,7 @@ let solve ?recombination ?scratch dev ~carrier ~biases ~psi =
   for k = 0 to n_nodes - 1 do
     BA1.unsafe_set u k (Float.max (BA1.unsafe_get u k) 1e-300)
   done;
-  let density =
-    Field.init n_nodes (fun k ->
-        ni *. BA1.unsafe_get u k *. safe_exp (sign *. BA1.unsafe_get psi k /. vt))
-  in
+  let density = Field.init n_nodes (fun k -> ni *. BA1.unsafe_get u k *. BA1.unsafe_get bz k) in
   let quasi_fermi = Field.map (fun uk -> -.sign *. vt *. log uk) u in
   { u; density; quasi_fermi }
 

@@ -38,9 +38,14 @@ val solve :
     the SRH lifetimes and the lagged electron and hole densities (in that
     order) from the previous Gummel iterate; omit it for the
     recombination-free problem.  [scratch] reuses the shared Poisson
-    workspace's system matrix (safe: each solve re-assembles every row).
-    Raises [Failure] on a singular system (cannot happen on a connected
-    mesh with an ohmic contact). *)
+    workspace's system matrix and its per-node Boltzmann buffers [arg] and
+    [bz] (safe: each solve rewrites every row and every node), so with a
+    scratch the only Bigarrays allocated are the three returned fields.
+    Each call is one ["continuity.solve"] span (category ["tcad"]) with a
+    ["carrier"] attribute of ["electrons"] or ["holes"].
+    Raises [Invalid_argument] on a scratch of another mesh shape and
+    [Failure] on a singular system (cannot happen on a connected mesh with
+    an ohmic contact). *)
 
 val terminal_current :
   Structure.t -> carrier:carrier -> psi:Field.t -> u:Field.t -> float

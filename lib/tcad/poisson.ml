@@ -14,12 +14,17 @@ type solution = {
   converged : bool;
 }
 
-type scratch = { sys : Numerics.Stencil5.t; work : Field.t }
+type scratch = { sys : Numerics.Stencil5.t; work : Field.t; arg : Field.t; bz : Field.t }
 
 let make_scratch dev =
   let mesh = dev.Structure.mesh in
   let n = Mesh.n_nodes mesh in
-  { sys = Numerics.Stencil5.create ~n ~m:mesh.Mesh.ny; work = Field.create n }
+  {
+    sys = Numerics.Stencil5.create ~n ~m:mesh.Mesh.ny;
+    work = Field.create n;
+    arg = Field.create n;
+    bz = Field.create n;
+  }
 
 let q = Physics.Constants.q
 let eps_si = Physics.Constants.eps_si
@@ -54,7 +59,7 @@ let solve ?(tol = 1e-9) ?(max_iter = 80) ?(quiet = false) ?scratch dev ~biases ~
          "Poisson.solve: state length mismatch (psi0 %d, phi_n %d, phi_p %d; %dx%d mesh \
           needs %d)"
          (Field.length psi0) (Field.length phi_n) (Field.length phi_p) nx ny n);
-  let { sys = a; work = dpsi } =
+  let { sys = a; work = dpsi; _ } =
     match scratch with
     | Some s ->
       if Numerics.Stencil5.order s.sys <> n || Numerics.Stencil5.offset s.sys <> ny then

@@ -20,11 +20,21 @@ type solution = {
   converged : bool;
 }
 
-type scratch = { sys : Numerics.Stencil5.t; work : Field.t }
-(** Reusable assembly/solve workspace (system matrix + update buffer).
-    One scratch serves every solve on meshes of the same shape — including
-    the continuity solves ({!Continuity.solve}) — but must not be shared
-    across concurrent domains. *)
+type scratch = {
+  sys : Numerics.Stencil5.t;  (** system matrix, shared by Poisson and continuity *)
+  work : Field.t;  (** Poisson's Newton update *)
+  arg : Field.t;
+      (** continuity's per-node Boltzmann exponent [s psi / vT]
+          (s = +1 electrons, -1 holes) *)
+  bz : Field.t;  (** continuity's per-node Boltzmann factor [e^arg] (clamped) *)
+}
+(** Reusable assembly/solve workspace.  One scratch serves every solve on
+    meshes of the same shape — including the continuity solves
+    ({!Continuity.solve}), which compute [arg] and [bz] once per node and
+    reuse them across the node's edges, its SRH term and the returned
+    density — but must not be shared across concurrent domains.  All four
+    buffers are overwritten by each solve that uses them; none carries
+    state between solves. *)
 
 val make_scratch : Structure.t -> scratch
 

@@ -64,4 +64,30 @@ let () =
     Subscale.Tcad.Extract.id_vd ~vd_min:0.0 ~vd_max:0.5 ~points:7 dev45 ~vg:0.3
   in
   write_pairs "tcad_idvd_45" "Id-Vd, 45 nm NFET, Vg = 300 mV: vd [V], id [A/m]"
-    idvd.Subscale.Tcad.Extract.vds idvd.Subscale.Tcad.Extract.ids
+    idvd.Subscale.Tcad.Extract.vds idvd.Subscale.Tcad.Extract.ids;
+  (* Bit-exact companion of tcad_idvg_45.txt: the same sweep as IEEE-754
+     bits (hex), plus one 45 nm characterize on the coarse 24x20 mesh.
+     test/test_tcad_equiv.ml compares every word exactly, so any change of
+     floating-point operation order in the solvers shows here even when the
+     7-digit snapshot above still matches. *)
+  let path = Filename.concat dir "tcad_idvg_45.bits" in
+  let oc = open_out path in
+  let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  Printf.fprintf oc "# Id-Vg, 45 nm NFET, Vd = 50 mV: idvg <vg bits> <id bits>\n";
+  Array.iteri
+    (fun i vg ->
+      Printf.fprintf oc "idvg %s %s\n" (bits vg) (bits idvg.Subscale.Tcad.Extract.ids.(i)))
+    idvg.Subscale.Tcad.Extract.vgs;
+  let c =
+    Subscale.Tcad.Extract.characterize
+      (Subscale.Tcad.Structure.build ~nx:24 ~ny:20 dev45.Subscale.Tcad.Structure.desc)
+  in
+  Printf.fprintf oc "# characterize, 45 nm NFET, 24x20 mesh, vdd 0.9 V: <field> <bits>\n";
+  List.iter
+    (fun (name, v) -> Printf.fprintf oc "%s %s\n" name (bits v))
+    Subscale.Tcad.Extract.
+      [ ("ss", c.ss); ("vth_lin", c.vth_lin); ("vth_sat", c.vth_sat); ("dibl", c.dibl);
+        ("ioff", c.ioff); ("ion_sub", c.ion_sub); ("on_off_ratio_sub", c.on_off_ratio_sub);
+        ("leff", c.leff) ];
+  close_out oc;
+  Printf.printf "wrote %s\n" path

@@ -439,6 +439,90 @@ let non_convergence_tests =
           (List.length (Subscale.Check.Solver_rules.scan_metrics ~prefix:"no-such-prefix." ())));
   ]
 
+(* --- TCAD layer attribution -------------------------------------------- *)
+
+let coarse_device =
+  lazy
+    (Subscale.Tcad.Structure.build ~nx:24 ~ny:20 Subscale.Tcad.Structure.default_description)
+
+let span_events name =
+  List.filter
+    (fun e ->
+      match e with
+      | Trace.Complete { name = n; _ } -> String.equal n name
+      | Trace.Instant _ -> false)
+    (Trace.events ())
+
+let total_dur evs =
+  List.fold_left (fun acc e -> match e with Trace.Complete { dur; _ } -> acc +. dur | _ -> acc) 0.0 evs
+
+let tcad_layer_tests =
+  [
+    u "gummel.at breaks down into poisson, continuity and stencil5 spans" (fun () ->
+        let module G = Subscale.Tcad.Gummel in
+        let dev = Lazy.force coarse_device in
+        let eq = G.equilibrium dev in
+        let biases =
+          { Subscale.Tcad.Poisson.zero_bias with Subscale.Tcad.Poisson.gate = 0.3; drain = 0.05 }
+        in
+        let untraced = G.gummel_at dev ~from:eq biases in
+        with_clean_trace (fun () ->
+            let traced = G.gummel_at dev ~from:eq biases in
+            Alcotest.(check bool) "tracing leaves the answer bit-identical" true
+              (Int64.equal
+                 (Int64.bits_of_float untraced.G.drain_current)
+                 (Int64.bits_of_float traced.G.drain_current));
+            let at = span_events "gummel.at" in
+            let poisson = span_events "poisson.solve" in
+            let continuity = span_events "continuity.solve" in
+            let lu = span_events "stencil5.solve" in
+            let newton_steps =
+              List.length
+                (List.filter (fun e -> Trace.event_name e = "poisson.iter") (Trace.events ()))
+            in
+            Alcotest.(check int) "one bias point" 1 (List.length at);
+            Alcotest.(check int) "two carriers per Gummel iteration"
+              (2 * List.length poisson) (List.length continuity);
+            Alcotest.(check int) "one LU per Newton step and per continuity solve"
+              (newton_steps + List.length continuity) (List.length lu);
+            let carriers =
+              List.map (fun e -> List.assoc_opt "carrier" (Trace.event_attrs e)) continuity
+            in
+            Alcotest.(check bool) "every continuity span names its carrier" true
+              (List.for_all
+                 (fun c -> c = Some (Trace.S "electrons") || c = Some (Trace.S "holes"))
+                 carriers);
+            Alcotest.(check bool) "the parts fit inside the bias point" true
+              (total_dur poisson +. total_dur continuity <= total_dur at);
+            let summary = Export.span_summary (Trace.events ()) in
+            List.iter
+              (fun needle ->
+                if not (contains ~needle summary) then
+                  Alcotest.failf "span summary misses %S" needle)
+              [ "gummel.at"; "poisson.solve"; "continuity.solve"; "stencil5.solve" ]));
+    u "Stencil5.solve allocates nothing with tracing off" (fun () ->
+        let module S5 = Subscale.Numerics.Stencil5 in
+        let n = 60 and m = 6 in
+        let a = S5.create ~n ~m in
+        for i = 0 to n - 1 do
+          S5.set_row a i ~west:(-1.0) ~south:(-1.0) ~diag:5.0 ~north:(-1.0) ~east:(-1.0)
+            ~rhs:1.0
+        done;
+        let dst = Subscale.Numerics.Fvec.create n in
+        let was_on = Trace.enabled () in
+        Trace.disable ();
+        let words =
+          Fun.protect
+            ~finally:(fun () -> if was_on then Trace.enable ())
+            (fun () ->
+              S5.solve a ~dst;
+              let before = Gc.minor_words () in
+              S5.solve a ~dst;
+              Gc.minor_words () -. before)
+        in
+        Alcotest.(check (float 0.0)) "minor words" 0.0 words);
+  ]
+
 (* --- determinism: observation never feeds back ----------------------- *)
 
 (* Fingerprint a small paper-style computation bit-exactly: table1's
@@ -476,5 +560,6 @@ let suite =
     ("obs.metrics", metrics_tests);
     ("obs.exec", exec_tests);
     ("obs.non_convergence", non_convergence_tests);
+    ("obs.tcad_layers", tcad_layer_tests);
     ("obs.determinism", determinism_tests);
   ]

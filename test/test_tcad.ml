@@ -199,7 +199,9 @@ let shape_guard_tests =
         let v = Tcad.Field.create n in
         let alien =
           { Poisson.sys = Numerics.Stencil5.create ~n:64 ~m:2;
-            Poisson.work = Tcad.Field.create 64 }
+            Poisson.work = Tcad.Field.create 64;
+            Poisson.arg = Tcad.Field.create 64;
+            Poisson.bz = Tcad.Field.create 64 }
         in
         match
           Poisson.solve ~scratch:alien dev ~biases:Poisson.zero_bias ~phi_n:v
@@ -225,7 +227,9 @@ let shape_guard_tests =
         | _ -> Alcotest.fail "mismatched psi accepted");
         let alien =
           { Poisson.sys = Numerics.Stencil5.create ~n:64 ~m:2;
-            Poisson.work = Tcad.Field.create 64 }
+            Poisson.work = Tcad.Field.create 64;
+            Poisson.arg = Tcad.Field.create 64;
+            Poisson.bz = Tcad.Field.create 64 }
         in
         match
           Continuity.solve ~scratch:alien dev ~carrier:Continuity.Electrons
@@ -234,6 +238,46 @@ let shape_guard_tests =
         | exception Invalid_argument msg ->
           contains_all ~msg [ "scratch shape mismatch"; "order 64 offset 2" ]
         | _ -> Alcotest.fail "alien scratch accepted");
+    u "Continuity.solve names mismatched scratch work vectors" (fun () ->
+        let dev = Lazy.force device in
+        let m = dev.Structure.mesh in
+        let n = m.Mesh.nx * m.Mesh.ny in
+        let short = { (Poisson.make_scratch dev) with Poisson.bz = Tcad.Field.create 7 } in
+        match
+          Continuity.solve ~scratch:short dev ~carrier:Continuity.Holes
+            ~biases:Poisson.zero_bias ~psi:(Tcad.Field.create n)
+        with
+        | exception Invalid_argument msg ->
+          contains_all ~msg
+            [ "Continuity.solve"; Printf.sprintf "lengths %d and 7" n;
+              Printf.sprintf "needs %d" n ]
+        | _ -> Alcotest.fail "short work vector accepted");
+  ]
+
+(* The continuity assembly caches e^{s psi/vT} per node in the scratch; a
+   reused scratch (stale factors from the other carrier and another bias
+   point) must give the same bits as a fresh allocation. *)
+let scratch_reuse_tests =
+  [
+    u "Continuity.solve through a reused scratch is bit-identical to a fresh one"
+      (fun () ->
+        let dev = Lazy.force device in
+        let eq = Lazy.force equilibrium in
+        let biases = { Poisson.zero_bias with Poisson.gate = 0.25; drain = 0.1 } in
+        let scratch = Poisson.make_scratch dev in
+        let psi = eq.Gummel.psi in
+        let recombination = (Continuity.default_srh, eq.Gummel.n, eq.Gummel.p) in
+        let bits f = Array.map Int64.bits_of_float (Tcad.Field.to_array f) in
+        List.iter
+          (fun carrier ->
+            let fresh = Continuity.solve ~recombination dev ~carrier ~biases ~psi in
+            let reused =
+              Continuity.solve ~recombination ~scratch dev ~carrier ~biases ~psi
+            in
+            Alcotest.(check bool) "u" true (bits fresh.Continuity.u = bits reused.Continuity.u);
+            Alcotest.(check bool) "density" true
+              (bits fresh.Continuity.density = bits reused.Continuity.density))
+          [ Continuity.Electrons; Continuity.Holes; Continuity.Electrons ]);
   ]
 
 let transport_tests =
@@ -356,6 +400,7 @@ let suite =
     ("tcad.structure", structure_tests);
     ("tcad.poisson", poisson_tests);
     ("tcad.shape-guards", shape_guard_tests);
+    ("tcad.scratch", scratch_reuse_tests);
     ("tcad.transport", transport_tests);
     ("tcad.extract", extract_tests);
     ("tcad.output", output_curve_tests);

@@ -6,8 +6,8 @@
    the drain currents agree to ~1e-9 relative (dI/I ~ dpsi/vt).  The suite
    drives random bias boxes over all four shipped nodes on reduced meshes,
    pins the warm-failure fallback semantics, and checks full-mesh golden
-   sweeps on the 45 nm node (regenerate with `dune exec test/gen_golden.exe`
-   after intentional solver changes). *)
+   sweeps on the 45 nm node, to 7 digits and bit for bit (regenerate with
+   `dune exec test/gen_golden.exe` after intentional solver changes). *)
 
 open Subscale
 module Structure = Tcad.Structure
@@ -273,10 +273,66 @@ let golden_tests =
         check_golden "idvd" pairs sweep.Extract.vds sweep.Extract.ids);
   ]
 
+(* --- bit-exact golden ---------------------------------------------------- *)
+
+(* test/golden/tcad_idvg_45.bits: "idvg <vg> <id>" lines and one
+   "<field> <value>" line per characterize field, every float as its
+   IEEE-754 bits in hex.  Unlike the %.6e snapshots above, these catch a
+   change of floating-point operation order anywhere in the solvers. *)
+let read_golden_bits path =
+  let ic = open_in path in
+  let word w = Int64.float_of_bits (Int64.of_string ("0x" ^ w)) in
+  let rec go sweep fields =
+    match input_line ic with
+    | line when String.length line = 0 || line.[0] = '#' -> go sweep fields
+    | line -> (
+      match String.split_on_char ' ' (String.trim line) with
+      | [ "idvg"; vg; id ] -> go ((word vg, word id) :: sweep) fields
+      | [ name; v ] -> go sweep ((name, word v) :: fields)
+      | _ -> failwith (path ^ ": malformed line: " ^ line))
+    | exception End_of_file ->
+      close_in ic;
+      (List.rev sweep, List.rev fields)
+  in
+  go [] []
+
+let check_bits name expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
+    Alcotest.failf "%s: expected %h (%.17g), got %h (%.17g)" name expected expected actual
+      actual
+
+let golden_bits = lazy (read_golden_bits (golden_path "tcad_idvg_45.bits"))
+
+let golden_bits_tests =
+  [
+    slow "45 nm Id-Vg reproduces the golden bits" (fun () ->
+        let pairs, _ = Lazy.force golden_bits in
+        let dev = Lazy.force golden_dev in
+        let sweep = Extract.id_vg ~vg_min:0.0 ~vg_max:0.6 ~points:9 dev ~vd:0.05 in
+        Alcotest.(check int) "points" (List.length pairs) (Array.length sweep.Extract.ids);
+        List.iteri
+          (fun i (vg, id) ->
+            check_bits (Printf.sprintf "vg %d" i) vg sweep.Extract.vgs.(i);
+            check_bits (Printf.sprintf "id %d" i) id sweep.Extract.ids.(i))
+          pairs);
+    slow "45 nm coarse-mesh characterize reproduces the golden bits" (fun () ->
+        let _, fields = Lazy.force golden_bits in
+        let c = Extract.characterize (small_dev 45) in
+        let actual =
+          Extract.
+            [ ("ss", c.ss); ("vth_lin", c.vth_lin); ("vth_sat", c.vth_sat); ("dibl", c.dibl);
+              ("ioff", c.ioff); ("ion_sub", c.ion_sub);
+              ("on_off_ratio_sub", c.on_off_ratio_sub); ("leff", c.leff) ]
+        in
+        Alcotest.(check (list string)) "fields" (List.map fst actual) (List.map fst fields);
+        List.iter2 (fun (name, e) (_, a) -> check_bits name e a) fields actual);
+  ]
+
 let suite =
   [
     ("tcad-equiv.warm-cold", equivalence_tests);
     ("tcad-equiv.fallback", fallback_tests);
     ("tcad-equiv.id-vd-grid", grid_tests);
     ("tcad-equiv.golden", golden_tests);
+    ("tcad-equiv.golden-bits", golden_bits_tests);
   ]

@@ -14,10 +14,6 @@ val dims : t -> int * int
 
 val mat_vec : t -> Vec.t -> Vec.t
 
-val mat_mul : t -> t -> t
-
-val transpose : t -> t
-
 exception Singular of int
 (** Raised by the factorization when a pivot column is numerically zero; the
     payload is the offending column index. *)

@@ -26,82 +26,6 @@ let golden_section ?(tol = 1e-10) ?(max_iter = 200) f a b =
   let x = 0.5 *. (!a +. !b) in
   (x, f x)
 
-(* Brent's minimizer (Numerical Recipes brent). *)
-let brent ?(tol = 1e-10) ?(max_iter = 200) f a b =
-  let cgold = 0.3819660 in
-  let zeps = 1e-18 in
-  let a = ref (Float.min a b) and b = ref (Float.max a b) in
-  let x = ref (!a +. (cgold *. (!b -. !a))) in
-  let w = ref !x and v = ref !x in
-  let fx = ref (f !x) in
-  let fw = ref !fx and fv = ref !fx in
-  let d = ref 0.0 and e = ref 0.0 in
-  let result = ref None in
-  let iter = ref 0 in
-  while Option.is_none !result && !iter < max_iter do
-    incr iter;
-    let xm = 0.5 *. (!a +. !b) in
-    let tol1 = (tol *. Float.abs !x) +. zeps in
-    let tol2 = 2.0 *. tol1 in
-    if Float.abs (!x -. xm) <= tol2 -. (0.5 *. (!b -. !a)) then result := Some (!x, !fx)
-    else begin
-      let use_golden = ref true in
-      if Float.abs !e > tol1 then begin
-        let r = (!x -. !w) *. (!fx -. !fv) in
-        let q = (!x -. !v) *. (!fx -. !fw) in
-        let p = ((!x -. !v) *. q) -. ((!x -. !w) *. r) in
-        let q = 2.0 *. (q -. r) in
-        let p = if q > 0.0 then -.p else p in
-        let q = Float.abs q in
-        let etemp = !e in
-        e := !d;
-        if
-          Float.abs p < Float.abs (0.5 *. q *. etemp)
-          && p > q *. (!a -. !x)
-          && p < q *. (!b -. !x)
-        then begin
-          d := p /. q;
-          let u = !x +. !d in
-          if u -. !a < tol2 || !b -. u < tol2 then
-            d := if xm -. !x >= 0.0 then tol1 else -.tol1;
-          use_golden := false
-        end
-      end;
-      if !use_golden then begin
-        e := (if !x >= xm then !a -. !x else !b -. !x);
-        d := cgold *. !e
-      end;
-      let u =
-        if Float.abs !d >= tol1 then !x +. !d
-        else !x +. (if !d >= 0.0 then tol1 else -.tol1)
-      in
-      let fu = f u in
-      if fu <= !fx then begin
-        if u >= !x then a := !x else b := !x;
-        v := !w;
-        w := !x;
-        x := u;
-        fv := !fw;
-        fw := !fx;
-        fx := fu
-      end
-      else begin
-        if u < !x then a := u else b := u;
-        if fu <= !fw || Float.equal !w !x then begin
-          v := !w;
-          w := u;
-          fv := !fw;
-          fw := fu
-        end
-        else if fu <= !fv || Float.equal !v !x || Float.equal !v !w then begin
-          v := u;
-          fv := fu
-        end
-      end
-    end
-  done;
-  match !result with Some r -> r | None -> (!x, !fx)
-
 let grid_then_golden ?(samples = 24) ?(tol = 1e-10) f a b =
   let lo = Float.min a b and hi = Float.max a b in
   if samples < 3 then invalid_arg "Minimize.grid_then_golden: need >= 3 samples";

@@ -6,10 +6,6 @@ val golden_section :
 (** [golden_section f a b] minimizes unimodal [f] on [[a, b]]; returns
     [(x_min, f x_min)]. *)
 
-val brent :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float * float
-(** Brent's parabolic-interpolation minimizer on a bracket [[a, b]]. *)
-
 val grid_then_golden :
   ?samples:int -> ?tol:float -> (float -> float) -> float -> float -> float * float
 (** Sample [samples] points (default 24) to locate the basin of the global

@@ -13,9 +13,6 @@ val linear_regression : Vec.t -> Vec.t -> float * float
 (** [linear_regression xs ys] is [(slope, intercept)] of the least-squares
     line.  Raises [Invalid_argument] on mismatch or fewer than 2 points. *)
 
-val correlation : Vec.t -> Vec.t -> float
-(** Pearson correlation coefficient. *)
-
 val geometric_mean_ratio : Vec.t -> float
 (** For a positive series y_0..y_n, the geometric mean of successive ratios
     y_{i+1}/y_i — the paper's "% per generation" figure of merit. *)

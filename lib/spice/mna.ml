@@ -17,7 +17,7 @@ let n_caps s = Array.length s.caps
 
 let voltage _s x node = if node = 0 then 0.0 else x.(node - 1)
 
-let source_current s x name =
+let source_index s ~who name =
   let rec find i =
     if i >= Array.length s.vsources then begin
       let known =
@@ -25,15 +25,18 @@ let source_current s x name =
         |> String.concat ", "
       in
       invalid_arg
-        (Printf.sprintf "Mna.source_current: no voltage source named %S (known: %s)" name
+        (Printf.sprintf "%s: no voltage source named %S (known: %s)" who name
            (if known = "" then "<none>" else known))
     end
     else begin
       let nm, _, _, _ = s.vsources.(i) in
-      if String.equal nm name then x.(s.n_nodes - 1 + i) else find (i + 1)
+      if String.equal nm name then i else find (i + 1)
     end
   in
   find 0
+
+let source_current s x name =
+  x.(s.n_nodes - 1 + source_index s ~who:"Mna.source_current" name)
 
 type cap_companion = { geq : float; ieq : float }
 
@@ -89,7 +92,10 @@ let pmos_current dev width ~vd ~vg ~vs =
     (width *. i, width *. (gm +. gds), -.width *. gm, -.width *. gds)
   end
 
-let assemble s ~time ?(source_scale = 1.0) ?(gmin = 1e-12) ?(overrides = []) ?caps ~x () =
+(* Leak conductance from every node to ground [S]. *)
+let gmin = 1e-12
+
+let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
   let n = s.n in
   if Array.length x <> n then invalid_arg "Mna.assemble: unknown vector length mismatch";
   let f = Array.make n 0.0 in

@@ -19,10 +19,14 @@ val n_caps : system -> int
 val voltage : system -> Numerics.Vec.t -> int -> float
 (** Node voltage from an unknown vector (handles ground). *)
 
+val source_index : system -> who:string -> string -> int
+(** Position of the named voltage source among the branch unknowns.  For an
+    unknown name, raises [Invalid_argument] prefixed by [who], naming the
+    missing source and listing the known ones. *)
+
 val source_current : system -> Numerics.Vec.t -> string -> float
 (** Branch current of a named voltage source.  Raises [Invalid_argument]
-    naming the missing source (and listing the known ones) for an unknown
-    name. *)
+    as {!source_index} does for an unknown name. *)
 
 type cap_companion = { geq : float; ieq : float }
 (** Trapezoidal/backward-Euler companion for one capacitor: the stamped
@@ -32,17 +36,17 @@ val assemble :
   system ->
   time:float ->
   ?source_scale:float ->
-  ?gmin:float ->
   ?overrides:(string * float) list ->
   ?caps:cap_companion array ->
   x:Numerics.Vec.t ->
   unit ->
   Numerics.Vec.t * Numerics.Matrix.t
 (** KCL residual F(x) and Jacobian dF/dx.  [source_scale] multiplies every
-    independent source value (for source-stepping homotopy).  [gmin]
-    (default 1e-12 S) is a leak conductance from every node to ground.
-    [overrides] replaces the waveform value of named voltage sources — how
-    DC sweeps move their swept source.  Without [caps], capacitors are open
+    independent source value (for source-stepping homotopy).  A leak
+    conductance of 1e-12 S (gmin) ties every node to ground.  [overrides]
+    replaces the waveform value of named voltage sources — how DC sweeps
+    move their swept source; names that match no source are ignored here
+    ({!Dcop.solve} rejects them).  Without [caps], capacitors are open
     (DC); with [caps] (length {!n_caps}), each capacitor stamps its
     companion model. *)
 

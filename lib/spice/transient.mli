@@ -11,17 +11,13 @@ type result = {
           drawn from a supply is the negative of this (see {!Mna}) *)
 }
 
-val run :
-  ?dt:float ->
-  ?x0:Numerics.Vec.t ->
-  Mna.system ->
-  t_stop:float ->
-  steps:int ->
-  result
+val run : ?x0:Numerics.Vec.t -> Mna.system -> t_stop:float -> steps:int -> result
 (** Integrate from a DC operating point at t = 0 (or from [x0]) to [t_stop]
-    in [steps] equal steps (or of size [dt] if given, overriding [steps]).
-    Raises {!Dcop.No_convergence} if a time-point Newton fails after step
-    halving. *)
+    in [steps] equal steps, each solved by {!Dcop.newton}.  A time point
+    whose Newton fails is retried as two backward-Euler half-steps (counted
+    in the [spice.transient.step_halvings] metric); raises
+    {!Dcop.No_convergence} if that fails too.  Raises [Invalid_argument]
+    unless [t_stop] and [steps] are positive. *)
 
 val voltage_of : result -> int -> Numerics.Vec.t
 
@@ -29,23 +25,3 @@ val energy_from_source : result -> name:string -> vdd:float -> float
 (** Energy delivered by the named constant supply over the window:
     -V_dd Integral(i_branch dt) [J].  (Per metre of device width when the
     MOSFET widths are per-metre.) *)
-
-type adaptive_result = {
-  data : result;
-  steps_taken : int;
-  steps_rejected : int;
-}
-
-val run_adaptive :
-  ?tol:float ->
-  ?dt_min:float ->
-  ?dt_max:float ->
-  ?x0:Numerics.Vec.t ->
-  Mna.system ->
-  t_stop:float ->
-  adaptive_result
-(** Variable-step trapezoidal integration.  Each step also solves a
-    backward-Euler companion; their difference estimates the local
-    truncation error, and the step shrinks or grows (at most 2x) to hold it
-    at [tol] volts (default 1e-4).  Slower per step than {!run} but far
-    fewer steps on stiff waveforms with long quiet stretches. *)

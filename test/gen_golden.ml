@@ -90,4 +90,9 @@ let () =
         ("ioff", c.ioff); ("ion_sub", c.ion_sub); ("on_off_ratio_sub", c.on_off_ratio_sub);
         ("leff", c.leff) ];
   close_out oc;
+  Printf.printf "wrote %s\n" path;
+  (* Bit-exact SPICE golden (VTC, chain DC, ring and FO1 transients); the
+     runs live in test/spice_golden.ml, which test/test_spice.ml shares. *)
+  let path = Filename.concat dir Spice_golden.file in
+  Spice_golden.write path;
   Printf.printf "wrote %s\n" path

@@ -577,69 +577,6 @@ let logical_effort_tests =
           (plan.Analysis.Logical_effort.estimated_delay /. measured));
   ]
 
-let adaptive_tests =
-  [
-    u "adaptive RC step matches the analytic exponential" (fun () ->
-        let r = 1e3 and cap = 1e-9 and v = 1.0 in
-        let tau = r *. cap in
-        let c = Spice.Netlist.create () in
-        let top = Spice.Netlist.node c "in" and out = Spice.Netlist.node c "out" in
-        Spice.Netlist.add c
-          (Spice.Netlist.Voltage_source
-             { name = "V"; plus = top; minus = 0;
-               wave = Spice.Netlist.Pwl [ (0.0, 0.0); (1e-15, v) ] });
-        Spice.Netlist.add c (Spice.Netlist.Resistor { plus = top; minus = out; ohms = r });
-        Spice.Netlist.add c (Spice.Netlist.Capacitor { plus = out; minus = 0; farads = cap });
-        let sys = Spice.Mna.build c in
-        let a = Spice.Transient.run_adaptive ~tol:1e-4 sys ~t_stop:(5.0 *. tau) in
-        let times = a.Spice.Transient.data.Spice.Transient.times in
-        let vo = Spice.Transient.voltage_of a.Spice.Transient.data out in
-        Array.iteri
-          (fun i t ->
-            let expected = v *. (1.0 -. exp (-.t /. tau)) in
-            if Float.abs (vo.(i) -. expected) > 5e-3 then
-              Alcotest.failf "t=%.3e: %.4f vs %.4f" t vo.(i) expected)
-          times;
-        Alcotest.(check bool) "fewer than fixed-step" true (a.Spice.Transient.steps_taken < 400));
-    u "tighter tolerance takes more steps" (fun () ->
-        let c = Spice.Netlist.create () in
-        let top = Spice.Netlist.node c "in" and out = Spice.Netlist.node c "out" in
-        Spice.Netlist.add c
-          (Spice.Netlist.Voltage_source
-             { name = "V"; plus = top; minus = 0;
-               wave = Spice.Netlist.Pwl [ (0.0, 0.0); (1e-9, 1.0) ] });
-        Spice.Netlist.add c (Spice.Netlist.Resistor { plus = top; minus = out; ohms = 1e3 });
-        Spice.Netlist.add c (Spice.Netlist.Capacitor { plus = out; minus = 0; farads = 1e-9 });
-        let sys = Spice.Mna.build c in
-        let loose = Spice.Transient.run_adaptive ~tol:1e-3 sys ~t_stop:5e-6 in
-        let tight = Spice.Transient.run_adaptive ~tol:1e-5 sys ~t_stop:5e-6 in
-        Alcotest.(check bool) "more steps" true
-          (tight.Spice.Transient.steps_taken > loose.Spice.Transient.steps_taken));
-    slow "adaptive inverter transient agrees with fixed-step" (fun () ->
-        let vdd = 0.3 in
-        let tp = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
-        let input = Spice.Netlist.Pwl [ (0.0, 0.0); (2.0 *. tp, 0.0); (3.0 *. tp, vdd) ] in
-        let fx = Circuits.Inverter.chain_fixture ~stages:1 pair ~vdd ~input in
-        let sys = Spice.Mna.build fx.Circuits.Inverter.circuit in
-        let t_stop = 20.0 *. tp in
-        let fixed = Spice.Transient.run sys ~t_stop ~steps:800 in
-        let adaptive = Spice.Transient.run_adaptive ~tol:1e-5 sys ~t_stop in
-        let out = fx.Circuits.Inverter.stage_nodes.(1) in
-        let v_fixed = Spice.Transient.voltage_of fixed out in
-        let v_adapt = Spice.Transient.voltage_of adaptive.Spice.Transient.data out in
-        let t_fixed = fixed.Spice.Transient.times in
-        let t_adapt = adaptive.Spice.Transient.data.Spice.Transient.times in
-        (* Compare the 50% crossing times. *)
-        let cross ts vs =
-          match Spice.Waveform.first_crossing ~times:ts ~values:vs ~level:(0.5 *. vdd)
-                  Spice.Waveform.Falling with
-          | Some t -> t
-          | None -> Alcotest.fail "no crossing"
-        in
-        Test_util.check_rel "same edge" ~rel:0.02 (cross t_fixed v_fixed)
-          (cross t_adapt v_adapt));
-  ]
-
 let mesh_convergence_tests =
   [
     slow "TCAD SS converges under mesh refinement" (fun () ->
@@ -777,7 +714,6 @@ let suite =
     ("analysis.pareto", pareto_tests);
     ("sta.verilog", verilog_tests);
     ("analysis.logical_effort", logical_effort_tests);
-    ("spice.adaptive", adaptive_tests);
     ("tcad.convergence", mesh_convergence_tests);
     ("sta.logic", logic_tests);
   ]

@@ -7,6 +7,7 @@ module Transient = Spice.Transient
 module W = Spice.Waveform
 
 let u = Test_util.case
+let slow = Test_util.slow_case
 let prop = Test_util.prop
 
 let phys90 = List.hd Device.Params.paper_table2
@@ -67,6 +68,14 @@ let netlist_tests =
         Alcotest.(check int) "caps" 1 (List.length (N.capacitors c)));
   ]
 
+let contains msg sub =
+  let n = String.length msg and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub msg i m = sub || at (i + 1)) in
+  at 0
+
+let counter name =
+  match Obs.Metrics.find name with Some (Obs.Metrics.Counter n) -> n | _ -> 0
+
 (* A resistive divider: V -- R1 -- mid -- R2 -- gnd. *)
 let divider v r1 r2 =
   let c = N.create () in
@@ -116,16 +125,18 @@ let mna_tests =
         let c, _ = divider 1.0 1000.0 1000.0 in
         let sys = Mna.build c in
         let x = Dcop.solve sys in
-        match Mna.source_current sys x "nope" with
-        | _ -> Alcotest.fail "lookup of a missing source succeeded"
-        | exception Invalid_argument msg ->
-          let has sub =
-            let n = String.length msg and m = String.length sub in
-            let rec at i = i + m <= n && (String.sub msg i m = sub || at (i + 1)) in
-            at 0
-          in
-          Alcotest.(check bool) "names the culprit" true (has "nope");
-          Alcotest.(check bool) "lists known sources" true (has "known: V"));
+        let rejected name f =
+          match f () with
+          | _ -> Alcotest.failf "%s: unknown source accepted" name
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool) (name ^ ": names the culprit") true (contains msg "nope");
+            Alcotest.(check bool) (name ^ ": lists known sources") true (contains msg "known: V")
+        in
+        rejected "Mna.source_current" (fun () -> Mna.source_current sys x "nope");
+        (* An override or swept source that names no source is an error,
+           not a silently ignored value. *)
+        rejected "Dcop.solve" (fun () -> Dcop.solve ~overrides:[ ("nope", 3.0) ] sys);
+        rejected "Dcsweep.run" (fun () -> Dcsweep.run sys ~source:"nope" ~values:[| 0.0; 1.0 |]));
   ]
 
 let inverter_fixture vdd =
@@ -146,6 +157,16 @@ let dcop_tests =
         (* The device must actually carry the injected current. *)
         Test_util.check_rel "kcl" ~rel:1e-3 1e-7
           (1e-6 *. Device.Iv_model.id nfet ~vgs:v ~vds:v));
+    u "a source-stepping fallback moves the Newton counters" (fun () ->
+        let solves = counter "spice.newton.solves"
+        and iterations = counter "spice.newton.iterations"
+        and stepping = counter "spice.dcop.source_stepping" in
+        ignore (Dcop.solve (Mna.build (Spice_golden.stepping_circuit ())));
+        (* The failed direct solve, then one Newton per ramp step. *)
+        Alcotest.(check int) "solves" 21 (counter "spice.newton.solves" - solves);
+        Alcotest.(check bool) "iterations beyond the direct budget" true
+          (counter "spice.newton.iterations" - iterations > 120);
+        Alcotest.(check int) "source stepping" 1 (counter "spice.dcop.source_stepping" - stepping));
     u "inverter operating point converges at mid-rail input" (fun () ->
         let fx = inverter_fixture 0.25 in
         let sys = Mna.build fx.Circuits.Inverter.circuit in
@@ -232,6 +253,16 @@ let transient_tests =
         Test_util.check_rel "starts high" ~rel:0.05 vdd vo.(0);
         Test_util.check_in_range "ends low" ~lo:(-0.01) ~hi:(0.1 *. vdd)
           vo.(Array.length vo - 1));
+    u "a stuck time point is retried as two half-steps and counted" (fun () ->
+        let halvings = counter "spice.transient.step_halvings" in
+        let c, out = Spice_golden.halving_circuit () in
+        let r = Transient.run (Mna.build c) ~t_stop:5e-6 ~steps:50 in
+        Alcotest.(check int) "halvings" 1 (counter "spice.transient.step_halvings" - halvings);
+        (* RC = 1 us, so the output is 20 V (1 - e^-5) at the end. *)
+        let vo = Transient.voltage_of r out in
+        Test_util.check_rel "settles" ~rel:1e-3
+          (20.0 *. (1.0 -. exp (-5.0)))
+          vo.(Array.length vo - 1));
     u "invalid step parameters are rejected" (fun () ->
         let c, _ = divider 1.0 1e3 1e3 in
         let sys = Mna.build c in
@@ -272,6 +303,15 @@ let waveform_tests =
           (W.slice_average ~times ~values ~t0:1.5 ~t1:3.0));
   ]
 
+let golden_tests =
+  [
+    slow "90 nm VTC, chain, ring and FO1 runs reproduce the golden bits" (fun () ->
+        let expected = Spice_golden.read (Test_util.golden_path Spice_golden.file) in
+        let actual = Spice_golden.words () in
+        Alcotest.(check (list string)) "labels" (List.map fst expected) (List.map fst actual);
+        List.iter2 (fun (label, e) (_, a) -> Test_util.check_bits label e a) expected actual);
+  ]
+
 let suite =
   [
     ("spice.netlist", netlist_tests);
@@ -280,4 +320,5 @@ let suite =
     ("spice.dcsweep", dcsweep_tests);
     ("spice.transient", transient_tests);
     ("spice.waveform", waveform_tests);
+    ("spice.golden", golden_tests);
   ]

@@ -243,12 +243,6 @@ let read_golden_pairs path =
   in
   go []
 
-let golden_path id =
-  let candidates = [ Filename.concat "golden" id; Filename.concat "test/golden" id ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "golden snapshot %s not found (run test/gen_golden.exe)" id
-
 let check_golden name pairs xs ys =
   Alcotest.(check int) (name ^ ": points") (List.length pairs) (Array.length xs);
   List.iteri
@@ -264,12 +258,12 @@ let golden_tests =
     slow "45 nm Id-Vg reproduces the golden snapshot" (fun () ->
         let dev = Lazy.force golden_dev in
         let sweep = Extract.id_vg ~vg_min:0.0 ~vg_max:0.6 ~points:9 dev ~vd:0.05 in
-        let pairs = read_golden_pairs (golden_path "tcad_idvg_45.txt") in
+        let pairs = read_golden_pairs (Test_util.golden_path "tcad_idvg_45.txt") in
         check_golden "idvg" pairs sweep.Extract.vgs sweep.Extract.ids);
     slow "45 nm Id-Vd reproduces the golden snapshot" (fun () ->
         let dev = Lazy.force golden_dev in
         let sweep = Extract.id_vd ~vd_min:0.0 ~vd_max:0.5 ~points:7 dev ~vg:0.3 in
-        let pairs = read_golden_pairs (golden_path "tcad_idvd_45.txt") in
+        let pairs = read_golden_pairs (Test_util.golden_path "tcad_idvd_45.txt") in
         check_golden "idvd" pairs sweep.Extract.vds sweep.Extract.ids);
   ]
 
@@ -296,12 +290,7 @@ let read_golden_bits path =
   in
   go [] []
 
-let check_bits name expected actual =
-  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
-    Alcotest.failf "%s: expected %h (%.17g), got %h (%.17g)" name expected expected actual
-      actual
-
-let golden_bits = lazy (read_golden_bits (golden_path "tcad_idvg_45.bits"))
+let golden_bits = lazy (read_golden_bits (Test_util.golden_path "tcad_idvg_45.bits"))
 
 let golden_bits_tests =
   [
@@ -312,8 +301,8 @@ let golden_bits_tests =
         Alcotest.(check int) "points" (List.length pairs) (Array.length sweep.Extract.ids);
         List.iteri
           (fun i (vg, id) ->
-            check_bits (Printf.sprintf "vg %d" i) vg sweep.Extract.vgs.(i);
-            check_bits (Printf.sprintf "id %d" i) id sweep.Extract.ids.(i))
+            Test_util.check_bits (Printf.sprintf "vg %d" i) vg sweep.Extract.vgs.(i);
+            Test_util.check_bits (Printf.sprintf "id %d" i) id sweep.Extract.ids.(i))
           pairs);
     slow "45 nm coarse-mesh characterize reproduces the golden bits" (fun () ->
         let _, fields = Lazy.force golden_bits in
@@ -325,7 +314,7 @@ let golden_bits_tests =
               ("on_off_ratio_sub", c.on_off_ratio_sub); ("leff", c.leff) ]
         in
         Alcotest.(check (list string)) "fields" (List.map fst actual) (List.map fst fields);
-        List.iter2 (fun (name, e) (_, a) -> check_bits name e a) fields actual);
+        List.iter2 (fun (name, e) (_, a) -> Test_util.check_bits name e a) fields actual);
   ]
 
 let suite =

@@ -36,3 +36,17 @@ let slow_case name f = Alcotest.test_case name `Slow f
 
 let prop name ?(count = 100) gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen law)
+
+(* A snapshot under test/golden, found from the test runner's directory or
+   the repo root. *)
+let golden_path id =
+  let candidates = [ Filename.concat "golden" id; Filename.concat "test/golden" id ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "golden snapshot %s not found (run test/gen_golden.exe)" id
+
+(* Exact equality of IEEE-754 bits, for the bit-exact goldens. *)
+let check_bits name expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
+    Alcotest.failf "%s: expected %h (%.17g), got %h (%.17g)" name expected expected actual
+      actual

@@ -95,4 +95,10 @@ let () =
      runs live in test/spice_golden.ml, which test/test_spice.ml shares. *)
   let path = Filename.concat dir Spice_golden.file in
   Spice_golden.write path;
+  Printf.printf "wrote %s\n" path;
+  (* Bit-exact compact-model golden (I-V grid, analytic VTC/SNM, Monte
+     Carlo SNM, yield, doping fit); the evaluations live in
+     test/compact_golden.ml, which test/test_device.ml shares. *)
+  let path = Filename.concat dir Compact_golden.file in
+  Compact_golden.write path;
   Printf.printf "wrote %s\n" path

@@ -105,13 +105,16 @@ let words () = vtc () @ chain () @ ring () @ fo1 () @ stepping () @ halving ()
 
 let file = "spice_90.bits"
 
-let write path =
+(* One "<label> <bits>" line per word under a "#" header line. *)
+let write_words path ~header words =
   let oc = open_out path in
-  Printf.fprintf oc "# SPICE on the 90 nm pair: <label> <IEEE-754 bits>\n";
+  Printf.fprintf oc "# %s: <label> <IEEE-754 bits>\n" header;
   List.iter
     (fun (label, v) -> Printf.fprintf oc "%s %016Lx\n" label (Int64.bits_of_float v))
-    (words ());
+    words;
   close_out oc
+
+let write path = write_words path ~header:"SPICE on the 90 nm pair" (words ())
 
 let read path =
   let ic = open_in path in

@@ -18,7 +18,7 @@ let of_curve curve =
       | vih :: _ -> vih
       | [] -> failwith "Snm.of_curve: only one gain = -1 point (insufficient gain)"
     in
-    let vout_at v = Numerics.Interp.linear curve.Vtc.vin curve.Vtc.vout v in
+    let vout_at = Numerics.Interp.linear curve.Vtc.vin curve.Vtc.vout in
     let voh = vout_at vil and vol = vout_at vih in
     let nml = vil -. vol and nmh = voh -. vih in
     { vil; vih; vol; voh; nml; nmh; snm = Float.min nml nmh }
@@ -77,10 +77,11 @@ let butterfly_snm ~vin ~v1 ~v2 =
   if hi <= lo then 0.0
   else begin
     let samples = 400 in
+    let u1_at = Numerics.Interp.linear v1r u1 and u2_at = Numerics.Interp.linear v2r u2 in
     let upper_lobe = ref 0.0 and lower_lobe = ref 0.0 in
     for i = 0 to samples do
       let v = lo +. ((hi -. lo) *. float_of_int i /. float_of_int samples) in
-      let d = Numerics.Interp.linear v1r u1 v -. Numerics.Interp.linear v2r u2 v in
+      let d = u1_at v -. u2_at v in
       if d > !upper_lobe then upper_lobe := d;
       if -.d > !lower_lobe then lower_lobe := -.d
     done;

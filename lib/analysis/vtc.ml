@@ -33,12 +33,8 @@ let analytic ?(points = 101) (pair : Circuits.Inverter.pair) ~sizing ~vdd =
   let vout_sorted = Array.init k (fun i -> vout_samples.(k - 1 - i)) in
   (* Clamp to the rail interval and resample onto a uniform vin grid. *)
   let vin_grid = Numerics.Vec.linspace 0.0 vdd points in
-  let vout_grid =
-    Array.map
-      (fun v ->
-        Float.max 0.0 (Float.min vdd (Numerics.Interp.linear vin_sorted vout_sorted v)))
-      vin_grid
-  in
+  let vout_at = Numerics.Interp.linear vin_sorted vout_sorted in
+  let vout_grid = Array.map (fun v -> Float.max 0.0 (Float.min vdd (vout_at v))) vin_grid in
   { vin = vin_grid; vout = vout_grid }
 
 let spice ?(points = 101) pair ~sizing ~vdd =

@@ -94,12 +94,16 @@ let build ?(t = Physics.Constants.t_room) polarity cal (phys : Params.physical) 
 let nfet ?(cal = Params.default_calibration) ?t phys = build ?t Params.Nfet cal phys
 let pfet ?(cal = Params.default_calibration) ?t phys = build ?t Params.Pfet cal phys
 
-let vth dev ~vds =
-  dev.vth0
-  +. Threshold.rolloff ~k_vth_sce:(Params.read_k_vth_sce dev.cal)
-       ~k_dibl:(Params.read_k_dibl dev.cal) ~vbi:dev.vbi
-       ~surface_potential:(2.0 *. dev.phi_f) ~vds ~leff:dev.leff ~lt:dev.lt ()
-  +. Params.read_vth_offset dev.cal
+(* Staged: [vth dev] reads the calibration and evaluates the roll-off's
+   bias-independent terms once; the closure it returns is cheap per V_ds. *)
+let vth dev =
+  let rolloff =
+    Threshold.rolloff ~k_vth_sce:(Params.read_k_vth_sce dev.cal)
+      ~k_dibl:(Params.read_k_dibl dev.cal) ~vbi:dev.vbi
+      ~surface_potential:(2.0 *. dev.phi_f) ~leff:dev.leff ~lt:dev.lt ()
+  in
+  let offset = Params.read_vth_offset dev.cal in
+  fun ~vds -> dev.vth0 +. rolloff ~vds +. offset
 
 let with_vth_shift dev shift =
   { dev with cal = { dev.cal with Params.vth_offset = dev.cal.Params.vth_offset +. shift } }

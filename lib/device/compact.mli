@@ -44,7 +44,8 @@ val pfet : ?cal:Params.calibration -> ?t:float -> Params.physical -> t
 
 val vth : t -> vds:float -> float
 (** V_th(V_ds) = V_th0 + Delta V_th,SCE(V_ds) + calibration offset; the halo
-    roll-up is inside V_th0 via N_eff. *)
+    roll-up is inside V_th0 via N_eff.  Staged: [vth dev] evaluates every
+    V_ds-independent term once, so bind it when sweeping V_ds. *)
 
 val with_vth_shift : t -> float -> t
 (** [with_vth_shift dev dv] is [dev] with its threshold rigidly shifted by

@@ -9,7 +9,7 @@ let long_channel ?(t = Physics.Constants.t_room) ?(gate_doping = Physics.Constan
 let characteristic_length ~tox ~wdep =
   sqrt (Physics.Constants.eps_si *. tox *. wdep /. Physics.Constants.eps_ox)
 
-let rolloff ?(k_vth_sce = 1.0) ?(k_dibl = 1.0) ~vbi ~surface_potential ~vds ~leff ~lt () =
-  -.k_vth_sce
-  *. ((2.0 *. (vbi -. surface_potential)) +. (k_dibl *. vds))
-  *. exp (-.leff /. (2.0 *. lt))
+let rolloff ?(k_vth_sce = 1.0) ?(k_dibl = 1.0) ~vbi ~surface_potential ~leff ~lt () =
+  let barrier = 2.0 *. (vbi -. surface_potential) in
+  let decay = exp (-.leff /. (2.0 *. lt)) in
+  fun ~vds -> -.k_vth_sce *. (barrier +. (k_dibl *. vds)) *. decay

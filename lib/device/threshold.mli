@@ -13,6 +13,8 @@ val characteristic_length : tox:float -> wdep:float -> float
 
 val rolloff :
   ?k_vth_sce:float -> ?k_dibl:float -> vbi:float -> surface_potential:float ->
-  vds:float -> leff:float -> lt:float -> unit -> float
+  leff:float -> lt:float -> unit -> vds:float -> float
 (** Delta V_th,SCE (negative): the quasi-2-D charge-sharing roll-off
-    -(k_vth_sce) (2 (V_bi - phi_s) + k_dibl V_ds) exp(-L_eff / (2 l_t)). *)
+    -(k_vth_sce) (2 (V_bi - phi_s) + k_dibl V_ds) exp(-L_eff / (2 l_t)).
+    Staged: applied up to [()], it evaluates the V_ds-independent terms
+    once and returns the roll-off as a function of [vds]. *)

@@ -2,7 +2,10 @@
 
 val linear : Vec.t -> Vec.t -> float -> float
 (** [linear xs ys x] linearly interpolates; clamps outside the table.
-    Raises [Invalid_argument] on length mismatch or fewer than 2 points. *)
+    Raises [Invalid_argument] on length mismatch, fewer than 2 points or
+    abscissae that do not strictly increase.  The table is checked once,
+    when [linear xs ys] is applied: bind that partial application to query
+    one table many times, and do not mutate the arrays while it is in use. *)
 
 val search : Vec.t -> float -> int
 (** [search xs x] is the index [i] such that [xs.(i) <= x < xs.(i+1)]

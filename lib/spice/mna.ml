@@ -1,5 +1,6 @@
 type system = {
-  circuit : Netlist.t;
+  elements : Netlist.element array;
+  fets : Device.Iv_model.prepared array;  (* one per MOSFET, in element order *)
   n_nodes : int;
   vsources : (string * int * int * Netlist.waveform) array;
   caps : (int * int * float) array;
@@ -7,10 +8,26 @@ type system = {
 }
 
 let build circuit =
+  let elements = Netlist.elements circuit in
+  let fets =
+    List.filter_map
+      (function
+        | Netlist.Nmos { dev; _ } | Netlist.Pmos { dev; _ } ->
+          Some (Device.Iv_model.prepare dev)
+        | Netlist.Resistor _ | Capacitor _ | Voltage_source _ | Current_source _ -> None)
+      elements
+  in
   let n_nodes = Netlist.n_nodes circuit in
   let vsources = Array.of_list (Netlist.voltage_sources circuit) in
   let caps = Array.of_list (Netlist.capacitors circuit) in
-  { circuit; n_nodes; vsources; caps; n = n_nodes - 1 + Array.length vsources }
+  {
+    elements = Array.of_list elements;
+    fets = Array.of_list fets;
+    n_nodes;
+    vsources;
+    caps;
+    n = n_nodes - 1 + Array.length vsources;
+  }
 
 let size s = s.n
 let n_caps s = Array.length s.caps
@@ -55,40 +72,28 @@ let source_list s = Array.to_list s.vsources
 (* Current of an N-channel MOSFET with bulk tied to source, drain/source
    symmetric.  Returns (i_drain, di/dvd, di/dvg, di/dvs), where i_drain is
    conventional current into the drain terminal. *)
-let nmos_current dev width ~vd ~vg ~vs =
-  let eval vgs vds =
-    let i = Device.Iv_model.id dev ~vgs ~vds in
-    let gm = Device.Iv_model.gm dev ~vgs ~vds in
-    let gds = Device.Iv_model.gds dev ~vgs ~vds in
-    (i, gm, gds)
-  in
+let nmos_current fet width ~vd ~vg ~vs =
   if vd >= vs then begin
-    let i, gm, gds = eval (vg -. vs) (vd -. vs) in
+    let i, gm, gds = Device.Iv_model.eval fet ~vgs:(vg -. vs) ~vds:(vd -. vs) in
     (width *. i, width *. gds, width *. gm, -.width *. (gm +. gds))
   end
   else begin
     (* Swap roles: the terminal at lower potential acts as source. *)
-    let i, gm, gds = eval (vg -. vd) (vs -. vd) in
+    let i, gm, gds = Device.Iv_model.eval fet ~vgs:(vg -. vd) ~vds:(vs -. vd) in
     (-.width *. i, width *. (gm +. gds), -.width *. gm, -.width *. gds)
   end
 
 (* P-channel: conventional current flows source -> drain inside the device
    when vsd > 0, so it *exits* at the drain terminal; the current into the
    drain is its negative. *)
-let pmos_current dev width ~vd ~vg ~vs =
-  let eval vsg vsd =
-    let i = Device.Iv_model.id dev ~vgs:vsg ~vds:vsd in
-    let gm = Device.Iv_model.gm dev ~vgs:vsg ~vds:vsd in
-    let gds = Device.Iv_model.gds dev ~vgs:vsg ~vds:vsd in
-    (i, gm, gds)
-  in
+let pmos_current fet width ~vd ~vg ~vs =
   if vs >= vd then begin
-    let i, gm, gds = eval (vs -. vg) (vs -. vd) in
+    let i, gm, gds = Device.Iv_model.eval fet ~vgs:(vs -. vg) ~vds:(vs -. vd) in
     (-.width *. i, width *. gds, width *. gm, -.width *. (gm +. gds))
   end
   else begin
     (* Terminal roles swap: the nominal drain (higher potential) sources. *)
-    let i, gm, gds = eval (vd -. vg) (vd -. vs) in
+    let i, gm, gds = Device.Iv_model.eval fet ~vgs:(vd -. vg) ~vds:(vd -. vs) in
     (width *. i, width *. (gm +. gds), -.width *. gm, -.width *. gds)
   end
 
@@ -117,8 +122,13 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
     add_current nd (gmin *. v nd);
     add_jac nd nd gmin
   done;
-  let cap_index = ref 0 in
-  List.iter
+  let cap_index = ref 0 and fet_index = ref 0 in
+  let next_fet () =
+    let fet = s.fets.(!fet_index) in
+    incr fet_index;
+    fet
+  in
+  Array.iter
     (fun element ->
       match element with
       | Netlist.Resistor { plus; minus; ohms } ->
@@ -152,9 +162,9 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
         add_current plus i;
         add_current minus (-.i)
       | Netlist.Voltage_source _ -> ()
-      | Netlist.Nmos { dev; width; drain; gate; source } ->
+      | Netlist.Nmos { width; drain; gate; source; _ } ->
         let id, did_dvd, did_dvg, did_dvs =
-          nmos_current dev width ~vd:(v drain) ~vg:(v gate) ~vs:(v source)
+          nmos_current (next_fet ()) width ~vd:(v drain) ~vg:(v gate) ~vs:(v source)
         in
         add_current drain id;
         add_current source (-.id);
@@ -164,9 +174,9 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
         add_jac source drain (-.did_dvd);
         add_jac source gate (-.did_dvg);
         add_jac source source (-.did_dvs)
-      | Netlist.Pmos { dev; width; drain; gate; source } ->
+      | Netlist.Pmos { width; drain; gate; source; _ } ->
         let id, did_dvd, did_dvg, did_dvs =
-          pmos_current dev width ~vd:(v drain) ~vg:(v gate) ~vs:(v source)
+          pmos_current (next_fet ()) width ~vd:(v drain) ~vg:(v gate) ~vs:(v source)
         in
         add_current drain id;
         add_current source (-.id);
@@ -176,7 +186,7 @@ let assemble s ~time ?(source_scale = 1.0) ?(overrides = []) ?caps ~x () =
         add_jac source drain (-.did_dvd);
         add_jac source gate (-.did_dvg);
         add_jac source source (-.did_dvs))
-    (Netlist.elements s.circuit);
+    s.elements;
   (* Voltage sources: branch current unknowns and voltage constraints. *)
   Array.iteri
     (fun i (name, plus, minus, wave) ->

@@ -42,7 +42,7 @@ let slice_average ~times ~values ~t0 ~t1 =
   if n <> Array.length values then invalid_arg "Waveform.slice_average: length mismatch";
   let t0 = Float.max t0 times.(0) and t1 = Float.min t1 times.(n - 1) in
   if t1 <= t0 then invalid_arg "Waveform.slice_average: empty window";
-  let value_at t = Numerics.Interp.linear times values t in
+  let value_at = Numerics.Interp.linear times values in
   let ts = ref [] and vs = ref [] in
   ts := [ t0 ];
   vs := [ value_at t0 ];

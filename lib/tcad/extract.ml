@@ -252,9 +252,10 @@ let subthreshold_slope ?i_lo ?i_hi (sweep : sweep) =
   let slope, _ = Numerics.Stats.linear_regression logs vgs in
   slope
 
-let current_at (sweep : sweep) vg =
+let current_at (sweep : sweep) =
   let logs = Array.map (fun id -> log10 (Float.max id 1e-300)) sweep.ids in
-  10.0 ** Numerics.Interp.linear sweep.vgs logs vg
+  let log_at = Numerics.Interp.linear sweep.vgs logs in
+  fun vg -> 10.0 ** log_at vg
 
 let threshold_voltage ?(criterion = 1e-1) (sweep : sweep) =
   let target = log10 criterion in
@@ -300,8 +301,9 @@ let characterize ?(vdd = 0.9) dev =
   let vth_lin = threshold_voltage sweep_lin in
   let vth_sat = threshold_voltage sweep_sat in
   let ioff = current_at sweep_sat 0.0 in
-  let ion_sub = current_at sweep_sub 0.25 in
-  let ioff_sub = current_at sweep_sub 0.0 in
+  let sub_at = current_at sweep_sub in
+  let ion_sub = sub_at 0.25 in
+  let ioff_sub = sub_at 0.0 in
   {
     ss;
     vth_lin;

@@ -89,7 +89,8 @@ val threshold_voltage : ?criterion:float -> sweep -> float
     (default 1e-1 A/m, i.e. 100 nA/um), interpolated in log current. *)
 
 val current_at : sweep -> float -> float
-(** [current_at sweep vg], interpolating log-linearly. *)
+(** [current_at sweep vg], interpolating log-linearly.  [current_at sweep]
+    builds the log table once; bind it to query one sweep many times. *)
 
 val dibl : low:sweep -> high:sweep -> float
 (** DIBL [V/V]: (V_th(low V_d) - V_th(high V_d)) / (V_d,high - V_d,low). *)

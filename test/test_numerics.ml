@@ -418,6 +418,31 @@ let interp_tests =
         Alcotest.check_raises "order"
           (Invalid_argument "Interp.linear: abscissae must be strictly increasing") (fun () ->
             ignore (Interp.linear [| 0.0; 0.0 |] [| 1.0; 2.0 |] 0.5)));
+    u "a bad table raises at partial application, before any query" (fun () ->
+        let bind xs ys () = ignore (Interp.linear xs ys : float -> float) in
+        Alcotest.check_raises "order"
+          (Invalid_argument "Interp.linear: abscissae must be strictly increasing")
+          (bind [| 0.0; 1.0; 1.0 |] [| 1.0; 2.0; 3.0 |]);
+        Alcotest.check_raises "length" (Invalid_argument "Interp.linear: length mismatch")
+          (bind [| 0.0; 1.0 |] [| 1.0 |]);
+        Alcotest.check_raises "size" (Invalid_argument "Interp.linear: need at least 2 points")
+          (bind [| 0.0 |] [| 1.0 |]));
+    prop "a bound interpolant matches fresh full applications bit-for-bit"
+      QCheck2.Gen.(
+        pair
+          (list_size (int_range 2 40) (pair (float_range 1e-3 2.0) (float_range (-5.0) 5.0)))
+          (list_size (int_range 1 30) (float_range (-1.0) 50.0)))
+      (fun (steps, queries) ->
+        (* Positive steps accumulate into strictly increasing abscissae. *)
+        let xs = Array.of_list (List.map fst steps) in
+        Array.iteri (fun i dx -> if i > 0 then xs.(i) <- xs.(i - 1) +. dx) xs;
+        let ys = Array.of_list (List.map snd steps) in
+        let bound = Interp.linear xs ys in
+        List.for_all
+          (fun x ->
+            Int64.equal (Int64.bits_of_float (bound x))
+              (Int64.bits_of_float (Interp.linear xs ys x)))
+          (xs.(0) :: xs.(Array.length xs - 1) :: queries));
     u "crossings finds both edges of a pulse" (fun () ->
         let xs = [| 0.0; 1.0; 2.0; 3.0 |] and ys = [| 0.0; 1.0; 1.0; 0.0 |] in
         match Interp.crossings xs ys 0.5 with

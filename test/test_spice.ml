@@ -109,6 +109,11 @@ let mna_tests =
         let x = Dcop.solve sys in
         (* 1 mA pushed into n1 through 1 kOhm -> 1 V. *)
         Test_util.check_rel "v" ~rel:1e-6 1.0 (Mna.voltage sys x n1));
+    u "build snapshots the netlist: later elements do not reach the system" (fun () ->
+        let c, mid = divider 1.0 500.0 500.0 in
+        let sys = Mna.build c in
+        N.add c (N.Resistor { plus = mid; minus = 0; ohms = 100.0 });
+        Test_util.check_rel "v" ~rel:1e-6 0.5 (Mna.voltage sys (Dcop.solve sys) mid));
     u "floating node settles to ground through gmin" (fun () ->
         let c = N.create () in
         let n1 = N.node c "float" in

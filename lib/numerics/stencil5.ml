@@ -6,22 +6,23 @@
    workspace is owned by [t], so a solver that reuses one stencil across
    iterations allocates nothing per solve.
 
-   The factorization is right-looking: pivot k updates rows k+1 .. k+m over
-   columns k+1 .. k+m, i.e. about n m^2 multiply-subtracts, which is nearly
-   all of a TCAD bias point's LU time.  That row update is unrolled by four
-   (a scalar loop takes the 0-3 leftover columns), which removes most of
-   the loop-control work per element.  The unrolling is bit-identical to
-   the plain loop and to the column-oriented reference LU the tests hold it
-   against ([Banded.solve_in_place] in test/) because of one invariant:
-   every band element receives its updates in ascending pivot order k, each
-   as the same expression [a -. f *. b], and no two updates are fused or
-   reassociated.  Unrolling only regroups independent elements of one row.
+   The LU is one C function, in stencil5_stubs.c.  It is right-looking:
+   pivot k updates rows k+1 .. k+m over columns k+1 .. k+m, about n m^2
+   multiply-subtracts and nearly all of a TCAD bias point's solve time, and
+   the C compiler vectorises that row update, which OCaml without flambda
+   cannot.  The kernel is bit-identical to the column-oriented reference LU
+   the tests hold it against ([Banded.solve_in_place] in test/) because of
+   one invariant: every band element receives its updates in ascending
+   pivot order k, each as the same expression a - f*b with the product
+   rounded before the subtraction, and nothing is fused into an FMA or
+   reassociated.  Vectorising only regroups independent elements of one
+   row.  So the stub is built -O3 -ffp-contract=off, never -ffast-math or
+   -march: one code path, the same bits on every host.
 
-   Hot loops apply the Bigarray primitives directly (module alias [BA1])
-   rather than through [Fvec]'s wrappers: without flambda, a cross-module
-   call neither inlines nor specialises the primitive, costing a function
-   call plus float boxing per element — a ~5x slowdown measured on the LU
-   inner loop. *)
+   [set_row] and [mat_vec] apply the Bigarray primitives directly (module
+   alias [BA1]) rather than through [Fvec]'s wrappers: without flambda, a
+   cross-module call neither inlines nor specialises the primitive, costing
+   a function call plus float boxing per element. *)
 
 module BA1 = Bigarray.Array1
 
@@ -77,11 +78,24 @@ let diag_of a i j =
     | d when d = a.m -> Some a.du2
     | _ -> None
 
-let get a i j = match diag_of a i j with Some d -> Fvec.get d i | None -> 0.0
+(* When m = 1 the +-1 and +-m diagonals are one matrix entry, which holds
+   their sum (as in [mat_vec] and [solve]); [diag_of] names the near one,
+   and [set] clears the far one. *)
+let twin a i j =
+  if a.m <> 1 then None
+  else match j - i with 1 -> Some a.du2 | -1 -> Some a.dl2 | _ -> None
+
+let get a i j =
+  match (diag_of a i j, twin a i j) with
+  | None, _ -> 0.0
+  | Some d, None -> Fvec.get d i
+  | Some d, Some far -> Fvec.get d i +. Fvec.get far i
 
 let set a i j v =
   match diag_of a i j with
-  | Some d -> Fvec.set d i v
+  | Some d ->
+    Fvec.set d i v;
+    Option.iter (fun far -> Fvec.set far i 0.0) (twin a i j)
   | None -> invalid_arg (Printf.sprintf "Stencil5.set: (%d, %d) off the stencil" i j)
 
 let add a i j v =
@@ -115,77 +129,13 @@ let mat_vec a x y =
     BA1.unsafe_set y i !s
   done
 
-(* Expand diagonals into the band, factor (LU, no pivoting; fill stays
-   within the band) and solve.  Elimination is column-by-column in the same
-   order as the reference LU, so the float sequence — hence the result —
-   matches it bit for bit on the same matrix. *)
-let factor_solve a dst =
-  let { n; m; dl2; dl1; d0; du1; du2; rhs; band } = a in
-  let w = (2 * m) + 1 in
-  Fvec.fill band 0.0;
-  (* band.(i*w + (j - i + m)) = A(i, j).  Off-diagonals accumulate instead
-     of assign: when m = 1 (a single-row mesh) the +-1 and +-m diagonals
-     coincide, and [mat_vec] sums them — plain assignment would silently
-     drop whichever was expanded first.  The band is zero-filled, so for
-     m > 1 accumulation is the same stores as before.  The accumulates
-     are written out rather than shared through a local helper, whose
-     float argument would be boxed on every call. *)
-  for i = 0 to n - 1 do
-    let base = (i * w) + m in
-    if i >= m then
-      BA1.unsafe_set band (base - m) (BA1.unsafe_get band (base - m) +. BA1.unsafe_get dl2 i);
-    if i >= 1 then
-      BA1.unsafe_set band (base - 1) (BA1.unsafe_get band (base - 1) +. BA1.unsafe_get dl1 i);
-    BA1.unsafe_set band base (BA1.unsafe_get d0 i);
-    if i + 1 < n then
-      BA1.unsafe_set band (base + 1) (BA1.unsafe_get band (base + 1) +. BA1.unsafe_get du1 i);
-    if i + m < n then
-      BA1.unsafe_set band (base + m) (BA1.unsafe_get band (base + m) +. BA1.unsafe_get du2 i)
-  done;
-  Fvec.blit rhs dst;
-  for k = 0 to n - 1 do
-    let pivot = BA1.unsafe_get band ((k * w) + m) in
-    if Float.abs pivot < 1e-300 then
-      failwith (Printf.sprintf "Stencil5.solve: zero pivot at row %d" k);
-    let imax = Int.min (k + m) (n - 1) in
-    let jmax = Int.min (k + m) (n - 1) in
-    (* Row k entries A(k, j) live at band.(k*w + m - k + j). *)
-    let bk = (k * w) + m - k in
-    for i = k + 1 to imax do
-      let bi = (i * w) + m - i in
-      let f = BA1.unsafe_get band (bi + k) /. pivot in
-      if not (Float.equal f 0.0) then begin
-        BA1.unsafe_set band (bi + k) f;
-        (* A(i, j) -= f A(k, j) for j = k+1 .. jmax, four columns a trip. *)
-        let j = ref (k + 1) in
-        while !j + 3 <= jmax do
-          let t = bi + !j and s = bk + !j in
-          BA1.unsafe_set band t (BA1.unsafe_get band t -. (f *. BA1.unsafe_get band s));
-          BA1.unsafe_set band (t + 1)
-            (BA1.unsafe_get band (t + 1) -. (f *. BA1.unsafe_get band (s + 1)));
-          BA1.unsafe_set band (t + 2)
-            (BA1.unsafe_get band (t + 2) -. (f *. BA1.unsafe_get band (s + 2)));
-          BA1.unsafe_set band (t + 3)
-            (BA1.unsafe_get band (t + 3) -. (f *. BA1.unsafe_get band (s + 3)));
-          j := !j + 4
-        done;
-        for j = !j to jmax do
-          BA1.unsafe_set band (bi + j)
-            (BA1.unsafe_get band (bi + j) -. (f *. BA1.unsafe_get band (bk + j)))
-        done;
-        BA1.unsafe_set dst i (BA1.unsafe_get dst i -. (f *. BA1.unsafe_get dst k))
-      end
-    done
-  done;
-  for i = n - 1 downto 0 do
-    let bi = (i * w) + m - i in
-    let s = ref (BA1.unsafe_get dst i) in
-    let jmax = Int.min (i + m) (n - 1) in
-    for j = i + 1 to jmax do
-      s := !s -. (BA1.unsafe_get band (bi + j) *. BA1.unsafe_get dst j)
-    done;
-    BA1.unsafe_set dst i (!s /. BA1.unsafe_get band (bi + i))
-  done
+(* The band LU, in stencil5_stubs.c: expands the diagonals into [band],
+   copies [rhs] into [dst], factors and substitutes in place.  Returns -1,
+   or the row of a zero pivot.  It neither allocates nor raises. *)
+external factor_solve :
+  Fvec.t -> Fvec.t -> Fvec.t -> Fvec.t -> Fvec.t -> Fvec.t -> Fvec.t -> Fvec.t -> int ->
+  int -> int = "subscale_stencil5_factor_solve_byte" "subscale_stencil5_factor_solve"
+[@@noalloc]
 
 (* The span is opened and closed by hand rather than through
    [Obs.Trace.with_span], whose thunk would be one closure allocation per
@@ -194,8 +144,11 @@ let factor_solve a dst =
 let solve a ~dst =
   if Fvec.length dst <> a.n then invalid_arg "Stencil5.solve: dst length mismatch";
   let span = Obs.Trace.start ~cat:"numerics" "stencil5.solve" in
-  match factor_solve a dst with
-  | () -> Obs.Trace.stop span
-  | exception e ->
+  let { n; m; dl2; dl1; d0; du1; du2; rhs; band } = a in
+  let row = factor_solve dl2 dl1 d0 du1 du2 rhs band dst n m in
+  if row < 0 then Obs.Trace.stop span
+  else begin
+    let e = Failure (Printf.sprintf "Stencil5.solve: zero pivot at row %d" row) in
     Obs.Trace.stop ~attrs:[ ("raised", Obs.Trace.S (Printexc.to_string e)) ] span;
     raise e
+  end

@@ -7,8 +7,9 @@
     reusing one stencil across Newton / Gummel iterations allocates nothing
     per solve.  On the same matrix the solve is bit-identical to a plain
     column-by-column band LU without pivoting (the test suite's
-    [Banded.solve_in_place] oracle): the unrolled elimination applies each
-    element's updates in the same order with the same expression.
+    [Banded.solve_in_place] oracle): the elimination, a C kernel built
+    without FMA contraction or reassociation, applies each element's
+    updates in the same order with the same expression.
 
     Each {!solve} is one ["stencil5.solve"] span (category ["numerics"])
     when [Obs.Trace] is on; off, the span costs one atomic load. *)
@@ -30,10 +31,13 @@ val clear : t -> unit
 (** Zero the five diagonals and the right-hand side, keeping the storage. *)
 
 val get : t -> int -> int -> float
-(** [get a i j] is A(i,j); zero off the stencil. *)
+(** [get a i j] is A(i,j); zero off the stencil.  When [m = 1] the +-1
+    and +-m diagonals coincide, and A(i, i+-1) is their sum, as in
+    {!mat_vec} and {!solve}. *)
 
 val set : t -> int -> int -> float -> unit
-(** Raises [Invalid_argument] when [j - i] is not one of 0, +-1, +-m. *)
+(** Raises [Invalid_argument] when [j - i] is not one of 0, +-1, +-m.
+    When [m = 1], setting A(i, i+-1) sets the whole (summed) entry. *)
 
 val add : t -> int -> int -> float -> unit
 (** Stamping accumulate; same domain as {!set}. *)

@@ -193,11 +193,12 @@ let gen_stencil_system ~n ~m:_ =
     let* x_true = gen_small_vec n in
     pure (off, x_true))
 
-(* Far-diagonal offsets covering every remainder (0-3 leftover columns) of
-   the four-wide unrolled row update, up to a real mesh's m = ny = 25; the
+(* Far-diagonal offsets from the m = 1 degenerate up to a real mesh's
+   m = ny = 25 and the 61x41 mesh's 41, so the compiled row update runs
+   short and long, odd and even segments (vector body and scalar tail); the
    order n = m * nx + r adds a ragged last block so rows near the end of
    the band (jmax = n - 1) run too. *)
-let unroll_offsets = [ 1; 2; 3; 4; 5; 7; 25 ]
+let unroll_offsets = [ 1; 2; 3; 4; 5; 7; 25; 41 ]
 
 let gen_unroll_system =
   QCheck2.Gen.(
@@ -209,11 +210,8 @@ let gen_unroll_system =
     pure (m, n, sys))
 
 (* Equality of every IEEE-754 bit, which is what Stencil5 promises. *)
-let same_bits a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+let same_bits a b = Array.length a = Array.length b && Array.for_all2 bits_equal a b
 
 let assemble_pair ~n ~m off =
   let st = Stencil5.create ~n ~m in
@@ -235,6 +233,77 @@ let assemble_pair ~n ~m off =
     Banded.set bd i i d
   done;
   (st, bd)
+
+(* A TCAD-shaped system on an nx x ny mesh (m = ny, k = ix * ny + iy):
+   ohmic contact rows -- the substrate row iy = 0 and source/drain
+   stretches of the top row -- are identity rows whose off-diagonals are
+   -0.0, interleaved with dominant interior rows coupled to their mesh
+   neighbours only.  Eliminating below a contact row meets f = -0.0 / pivot,
+   which the LU must skip exactly as the oracle does.  The +-0.0 right-hand
+   sides make a missed skip, or a -0.0 entry that lost its sign in the
+   band, show in the sign of a zero. *)
+let gen_contact_system =
+  QCheck2.Gen.(
+    let* ny = int_range 2 9 in
+    let* nx = int_range 3 8 in
+    let* sd = int_range 1 (nx / 2) in
+    let n = nx * ny in
+    let* off = array_size (pure (4 * n)) (float_range (-1.0) 1.0) in
+    let* rhs =
+      array_size (pure n) (oneof [ pure (-0.0); pure 0.0; float_range (-10.0) 10.0 ])
+    in
+    pure (nx, ny, sd, off, rhs))
+
+let assemble_contact_pair ~nx ~ny ~sd off =
+  let n = nx * ny and m = ny in
+  let st = Stencil5.create ~n ~m and bd = Banded.create ~n ~kl:m ~ku:m in
+  let put i j v =
+    Stencil5.set st i j v;
+    Banded.set bd i j v
+  in
+  for ix = 0 to nx - 1 do
+    for iy = 0 to ny - 1 do
+      let k = (ix * ny) + iy in
+      if iy = 0 || (iy = ny - 1 && (ix < sd || ix >= nx - sd)) then begin
+        List.iter
+          (fun j -> if j >= 0 && j < n then put k j (-0.0))
+          [ k - m; k - 1; k + 1; k + m ];
+        put k k 1.0
+      end
+      else begin
+        let neighbours =
+          [ (ix > 0, k - m); (iy > 0, k - 1); (iy < ny - 1, k + 1); (ix < nx - 1, k + m) ]
+        in
+        let d = ref 1.0 in
+        List.iteri
+          (fun q (on_mesh, j) ->
+            if on_mesh then begin
+              let v = off.((4 * k) + q) in
+              put k j v;
+              d := !d +. Float.abs v
+            end)
+          neighbours;
+        put k k !d
+      end
+    done
+  done;
+  (st, bd)
+
+(* Solve one system both ways: [Ok x] or [Error message]. *)
+let solve_both st bd rhs =
+  Array.iteri (fun i v -> Fvec.set (Stencil5.rhs st) i v) rhs;
+  let dst = Fvec.create (Array.length rhs) in
+  let s5 =
+    match Stencil5.solve st ~dst with
+    | () -> Ok (Fvec.to_array dst)
+    | exception Failure msg -> Error msg
+  in
+  let banded =
+    match Banded.solve_in_place bd (Array.copy rhs) with
+    | x -> Ok x
+    | exception Failure msg -> Error msg
+  in
+  (s5, banded)
 
 let stencil5_tests =
   [
@@ -333,6 +402,80 @@ let stencil5_tests =
         let d2 = Fvec.create n in
         Stencil5.solve a ~dst:d2;
         Alcotest.(check (array (float 0.0))) "identical" first (Fvec.to_array d2));
+    u "get on m=1 reads the summed +-1 and +-m entries, as mat_vec does" (fun () ->
+        (* With m = 1 the near and far off-diagonals are one matrix entry;
+           [mat_vec] and [solve] add them, so [get] must as well: column j
+           of A is A e_j. *)
+        let n = 5 in
+        let a = Stencil5.create ~n ~m:1 in
+        for i = 0 to n - 1 do
+          Stencil5.set_row a i ~west:0.5 ~south:(-1.5) ~diag:4.0 ~north:2.0 ~east:3.0
+            ~rhs:0.0
+        done;
+        Stencil5.set a 2 3 7.0;
+        let e = Fvec.create n and col = Fvec.create n in
+        for j = 0 to n - 1 do
+          Fvec.fill e 0.0;
+          Fvec.set e j 1.0;
+          Stencil5.mat_vec a e col;
+          for i = 0 to n - 1 do
+            Test_util.check_float (Printf.sprintf "A(%d,%d)" i j) (Fvec.get col i)
+              (Stencil5.get a i j)
+          done
+        done;
+        Test_util.check_float "north + east" 5.0 (Stencil5.get a 1 2);
+        Test_util.check_float "set overwrites the whole entry" 7.0 (Stencil5.get a 2 3));
+    prop "contact (identity, -0.0) rows interleaved with interior rows match Banded"
+      ~count:120 gen_contact_system
+      (fun (nx, ny, sd, off, rhs) ->
+        let st, bd = assemble_contact_pair ~nx ~ny ~sd off in
+        match solve_both st bd rhs with
+        | Ok x, Ok y -> same_bits x y
+        | _ -> QCheck2.Test.fail_reportf "nx=%d ny=%d: a solve raised" nx ny);
+    u "a zero pivot reached mid-elimination names its row, as Banded does" (fun () ->
+        (* Rows 3-4 hold the block [[1, 1], [1, 1]] below a coupled,
+           dominant leading block: pivots 0-3 are sound, and eliminating
+           with pivot 3 leaves A(4, 4) = 1 - 1 * 1 = 0. *)
+        let n = 8 and m = 2 in
+        let st = Stencil5.create ~n ~m and bd = Banded.create ~n ~kl:m ~ku:m in
+        let put i j v =
+          Stencil5.set st i j v;
+          Banded.set bd i j v
+        in
+        for i = 0 to n - 1 do
+          put i i 4.0
+        done;
+        List.iter
+          (fun (i, j) -> put i j (-1.0))
+          [ (0, 1); (1, 0); (0, 2); (2, 0); (1, 2); (2, 1); (1, 3); (2, 4) ];
+        List.iter (fun (i, j) -> put i j 1.0) [ (3, 3); (3, 4); (4, 3); (4, 4) ];
+        match solve_both st bd (Array.make n 1.0) with
+        | Error s5, Error banded ->
+          Alcotest.(check string) "Stencil5" "Stencil5.solve: zero pivot at row 4" s5;
+          Alcotest.(check string) "Banded" "Banded.solve_in_place: zero pivot at row 4" banded
+        | _ -> Alcotest.fail "both solvers must raise");
+    prop "a NaN entry never raises and gives NaN where Banded does" ~count:80
+      QCheck2.Gen.(triple gen_unroll_system nat (int_range 0 5))
+      (fun ((m, n, (off, x_true)), r, slot) ->
+        (* Slot 0 poisons the rhs of row r, 1 its diagonal (the pivot test
+           |NaN| < 1e-300 is false), 2-5 one of its off-diagonals. *)
+        let r = r mod n in
+        let st, bd = assemble_pair ~n ~m off in
+        let rhs = Banded.mat_vec bd x_true in
+        let j = [| r; r; r - m; r - 1; r + 1; r + m |].(slot) in
+        if slot = 0 || j < 0 || j >= n then rhs.(r) <- Float.nan
+        else begin
+          Stencil5.set st r j Float.nan;
+          Banded.set bd r j Float.nan
+        end;
+        match solve_both st bd rhs with
+        | Ok x, Ok y ->
+          Array.exists Float.is_nan x
+          && Array.for_all2
+               (fun a b ->
+                 Bool.equal (Float.is_nan a) (Float.is_nan b) && (Float.is_nan a || bits_equal a b))
+               x y
+        | _ -> QCheck2.Test.fail_reportf "m=%d n=%d r=%d slot=%d: a solve raised" m n r slot);
     u "zero pivot fails loudly" (fun () ->
         let a = Stencil5.create ~n:6 ~m:2 in
         for i = 0 to 5 do

@@ -96,6 +96,11 @@ let () =
   let path = Filename.concat dir Spice_golden.file in
   Spice_golden.write path;
   Printf.printf "wrote %s\n" path;
+  (* Bit-exact cell characterization and 92-unknown adder DC golden, the
+     runs that pivot in the dense LU; also in test/spice_golden.ml. *)
+  let path = Filename.concat dir Spice_golden.cells_file in
+  Spice_golden.write_cells path;
+  Printf.printf "wrote %s\n" path;
   (* Bit-exact compact-model golden (I-V grid, analytic VTC/SNM, Monte
      Carlo SNM, yield, doping fit); the evaluations live in
      test/compact_golden.ml, which test/test_device.ml shares. *)

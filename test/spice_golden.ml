@@ -1,4 +1,5 @@
-(* The SPICE runs behind test/golden/spice_90.bits, shared by the writer
+(* The SPICE runs behind test/golden/spice_90.bits and
+   test/golden/spice_cells_90.bits, shared by the writer
    (gen_golden.exe) and the reader (test_spice.ml) so both see the same
    circuits.  Every word is one float of the simulator's output; the file
    stores each as its IEEE-754 bits in hex, so any change of floating-point
@@ -105,6 +106,61 @@ let words () = vtc () @ chain () @ ring () @ fo1 () @ stepping () @ halving ()
 
 let file = "spice_90.bits"
 
+(* Every entry of every arc's four NLDM tables, read back at the grid
+   points (exact for finite entries), then the supply leakage per input
+   state: one cell characterized at 0.25 V on the default 3 x 3 grid. *)
+let cell kind =
+  let vdd = 0.25 in
+  let c = Sta.Cell_lib.characterize_cell ~sizing pair ~vdd kind in
+  let name = Sta.Cell_lib.cell_name kind in
+  let table label lut =
+    let slews = Sta.Lut.slews lut and loads = Sta.Lut.loads lut in
+    List.concat
+      (List.init (Array.length slews) (fun i ->
+           List.init (Array.length loads) (fun j ->
+               ( Printf.sprintf "%s.%d.%d" label i j,
+                 Sta.Lut.eval lut ~slew:slews.(i) ~load:loads.(j) ))))
+  in
+  let arc (a : Sta.Cell_lib.arc) =
+    let label what = Printf.sprintf "%s.pin%d.%s" name a.pin what in
+    table (label "delay_rise") a.delay_output_rise
+    @ table (label "delay_fall") a.delay_output_fall
+    @ table (label "slew_rise") a.slew_output_rise
+    @ table (label "slew_fall") a.slew_output_fall
+  in
+  let leakage (state, amps) =
+    let bits = String.init (Array.length state) (fun i -> if state.(i) then '1' else '0') in
+    (Printf.sprintf "%s.leakage.%s" name bits, amps)
+  in
+  List.concat_map arc (Array.to_list c.arcs) @ List.map leakage c.leakage
+
+(* The 4-bit ripple-carry adder at 0.25 V and the DC solve behind
+   [Adder.compute] for 11 + 6 + 1, with the same input-word overrides:
+   92 unknowns, so the dense LU pivots. *)
+let adder_vdd = 0.25
+let adder_words = (11, 6, 1)
+
+let adder_system () =
+  let adder = Circuits.Adder.ripple_carry ~sizing pair ~vdd:adder_vdd ~bits:4 in
+  (adder, Spice.Mna.build adder.Circuits.Adder.circuit)
+
+let adder () =
+  let adder, sys = adder_system () in
+  let a, b, cin = adder_words in
+  let level word i = if (word lsr i) land 1 = 1 then adder_vdd else 0.0 in
+  let overrides =
+    (adder.Circuits.Adder.cin_name, level cin 0)
+    :: List.concat
+         (List.init 4 (fun i ->
+              [ (adder.Circuits.Adder.a_names.(i), level a i);
+                (adder.Circuits.Adder.b_names.(i), level b i) ]))
+  in
+  sampled "adder" ~every:1 (Spice.Dcop.solve ~overrides sys)
+
+let cells_words () = cell Sta.Cell_lib.Inv @ cell Sta.Cell_lib.Nand2 @ adder ()
+
+let cells_file = "spice_cells_90.bits"
+
 (* One "<label> <bits>" line per word under a "#" header line. *)
 let write_words path ~header words =
   let oc = open_out path in
@@ -115,6 +171,10 @@ let write_words path ~header words =
   close_out oc
 
 let write path = write_words path ~header:"SPICE on the 90 nm pair" (words ())
+
+let write_cells path =
+  write_words path ~header:"Cell characterization and adder DC on the 90 nm pair"
+    (cells_words ())
 
 let read path =
   let ic = open_in path in

@@ -315,6 +315,16 @@ let golden_tests =
         let actual = Spice_golden.words () in
         Alcotest.(check (list string)) "labels" (List.map fst expected) (List.map fst actual);
         List.iter2 (fun (label, e) (_, a) -> Test_util.check_bits label e a) expected actual);
+    slow "90 nm INV/NAND2 tables, leakage and adder DC reproduce the golden bits" (fun () ->
+        let adder, sys = Spice_golden.adder_system () in
+        Alcotest.(check int) "adder unknowns" 92 (Mna.size sys);
+        let a, b, cin = Spice_golden.adder_words in
+        Alcotest.(check (pair int int)) "adder sum" (2, 1)
+          (Circuits.Adder.compute adder ~a ~b ~cin);
+        let expected = Spice_golden.read (Test_util.golden_path Spice_golden.cells_file) in
+        let actual = Spice_golden.cells_words () in
+        Alcotest.(check (list string)) "labels" (List.map fst expected) (List.map fst actual);
+        List.iter2 (fun (label, e) (_, a) -> Test_util.check_bits label e a) expected actual);
   ]
 
 let suite =

@@ -6,7 +6,13 @@
     inputs and outputs.  When {!enable}d (or inside {!with_guard}), the
     first non-finite value raises {!Non_finite} carrying the origin label
     of the call site, so the failure is located instead of laundered into a
-    downstream "did not converge". *)
+    downstream "did not converge".
+
+    The checks take [origin] already built, so an origin formatted with
+    [Printf.sprintf] costs its formatting even while the guard is disabled.
+    Callers that format one check {!is_enabled} first and build it only
+    when that holds:
+    [if Guard.is_enabled () then ignore (Guard.vec ~origin:(sprintf ...) v)]. *)
 
 exception Non_finite of { origin : string; index : int option; value : float }
 

@@ -28,18 +28,25 @@ exception Singular of int
 
 type lu = { lu : float array array; perm : int array }
 
-(* Doolittle LU with partial pivoting.  Stores L (unit diagonal, below) and U
-   (on and above the diagonal) in one matrix. *)
-let lu_factor a =
-  let n, m = dims a in
-  if n <> m then invalid_arg "Matrix.lu_factor: matrix must be square";
-  let lu = copy a in
+(* Doolittle LU with partial pivoting, overwriting [lu]: its rows are
+   permuted and hold L (unit diagonal, below) and U (on and above the
+   diagonal).  A zero below the pivot is not divided: [a *. copy_sign 1.0
+   pivot] is the zero [a /. pivot] would give, sign included, for every
+   pivot but NaN, which keeps the division (0 / NaN is NaN).  Every row is
+   checked to have length n first, so the column scans and the row update
+   index without bounds checks. *)
+let lu_factor_in_place lu =
+  let n = Array.length lu in
+  Array.iter
+    (fun row ->
+      if Array.length row <> n then invalid_arg "Matrix.lu_factor: matrix must be square")
+    lu;
   let perm = Array.init n (fun i -> i) in
   for k = 0 to n - 1 do
     let pivot_row = ref k in
     let pivot_mag = ref (Float.abs lu.(k).(k)) in
     for i = k + 1 to n - 1 do
-      let m = Float.abs lu.(i).(k) in
+      let m = Float.abs (Array.unsafe_get (Array.unsafe_get lu i) k) in
       if m > !pivot_mag then begin
         pivot_mag := m;
         pivot_row := i
@@ -54,17 +61,27 @@ let lu_factor a =
       perm.(k) <- perm.(!pivot_row);
       perm.(!pivot_row) <- tp
     end;
-    let pivot = lu.(k).(k) in
+    let row_k = lu.(k) in
+    let pivot = row_k.(k) in
+    let zero_sign = Float.copy_sign 1.0 pivot in
+    let divide_zeros = Float.is_nan pivot in
     for i = k + 1 to n - 1 do
-      let f = lu.(i).(k) /. pivot in
-      lu.(i).(k) <- f;
-      if not (Float.equal f 0.0) then
-        for j = k + 1 to n - 1 do
-          lu.(i).(j) <- lu.(i).(j) -. (f *. lu.(k).(j))
-        done
+      let row_i = Array.unsafe_get lu i in
+      let a = Array.unsafe_get row_i k in
+      if Float.equal a 0.0 && not divide_zeros then Array.unsafe_set row_i k (a *. zero_sign)
+      else begin
+        let f = a /. pivot in
+        Array.unsafe_set row_i k f;
+        if not (Float.equal f 0.0) then
+          for j = k + 1 to n - 1 do
+            Array.unsafe_set row_i j (Array.unsafe_get row_i j -. (f *. Array.unsafe_get row_k j))
+          done
+      end
     done
   done;
   { lu; perm }
+
+let lu_factor a = lu_factor_in_place (copy a)
 
 let lu_solve { lu; perm } b =
   let n = Array.length lu in

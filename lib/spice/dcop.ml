@@ -21,7 +21,7 @@ let newton ~assemble ~max_iter x0 =
     if iter >= max_iter then finish iter None
     else begin
       let f, jac = assemble x in
-      match Numerics.Matrix.lu_factor jac with
+      match Numerics.Matrix.lu_factor_in_place jac with
       | exception Numerics.Matrix.Singular _ -> finish (iter + 1) None
       | lu ->
         let dx = Numerics.Matrix.lu_solve lu (Array.map (fun v -> -.v) f) in

@@ -10,7 +10,10 @@ val newton :
   Numerics.Vec.t ->
   Numerics.Vec.t option
 (** The simulator's one damped Newton loop, shared with {!Transient}.
-    [assemble x] returns the residual F(x) and Jacobian dF/dx.  Each step is
+    [assemble x] returns the residual F(x) and a fresh Jacobian dF/dx,
+    which Newton consumes: it is factored in place
+    ({!Numerics.Matrix.lu_factor_in_place}), so [assemble] must not return
+    a matrix it keeps or reuses.  Each step is
     scaled down so its infinity norm is at most 0.3 V; the iteration has
     converged when an undamped step's infinity norm is below 1e-9 V, the
     tolerance of every SPICE analysis.  Returns [None] (rather than raising,

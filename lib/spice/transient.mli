@@ -17,7 +17,10 @@ val run : ?x0:Numerics.Vec.t -> Mna.system -> t_stop:float -> steps:int -> resul
     whose Newton fails is retried as two backward-Euler half-steps (counted
     in the [spice.transient.step_halvings] metric); raises
     {!Dcop.No_convergence} if that fails too.  Raises [Invalid_argument]
-    unless [t_stop] and [steps] are positive. *)
+    unless [t_stop] and [steps] are positive.  With {!Numerics.Guard}
+    enabled, a non-finite state at any time point ([x0] at t = 0 included)
+    raises {!Numerics.Guard.Non_finite} with origin
+    ["Transient.run: state at t=<time>"]. *)
 
 val voltage_of : result -> int -> Numerics.Vec.t
 

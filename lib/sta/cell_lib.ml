@@ -105,7 +105,9 @@ let characterize_cell ?slews ?loads ?(sizing = Circuits.Inverter.balanced_sizing
   let ns = Array.length slews and nl = Array.length loads in
   let tp = Circuits.Chain.estimated_stage_delay pair sizing ~vdd in
   let arc_for pin =
-    let grid input_rising extract =
+    (* One transient per grid point and input edge gives both its delay
+       and its output slew. *)
+    let grid input_rising =
       Array.init ns (fun i ->
           Array.init nl (fun j ->
               let slew = slews.(i) and load = loads.(j) in
@@ -117,19 +119,22 @@ let characterize_cell ?slews ?loads ?(sizing = Circuits.Inverter.balanced_sizing
               match
                 measure kind ~sizing pair ~vdd ~pin ~input_rising ~slew ~load ~window
               with
-              | Some (d, s) -> extract d s
+              | Some delay_and_slew -> delay_and_slew
               | None ->
                 failwith
                   (Printf.sprintf "Cell_lib: %s pin %d did not switch (slew %g, load %g)"
                      (cell_name kind) pin slew load)))
     in
+    let table points pick = Lut.create ~slews ~loads ~values:(Array.map (Array.map pick) points) in
+    (* Negative unate: falling input -> rising output. *)
+    let output_rise = grid false in
+    let output_fall = grid true in
     {
       pin;
-      (* Negative unate: falling input -> rising output. *)
-      delay_output_rise = Lut.create ~slews ~loads ~values:(grid false (fun d _ -> d));
-      delay_output_fall = Lut.create ~slews ~loads ~values:(grid true (fun d _ -> d));
-      slew_output_rise = Lut.create ~slews ~loads ~values:(grid false (fun _ s -> s));
-      slew_output_fall = Lut.create ~slews ~loads ~values:(grid true (fun _ s -> s));
+      delay_output_rise = table output_rise fst;
+      delay_output_fall = table output_fall fst;
+      slew_output_rise = table output_rise snd;
+      slew_output_fall = table output_fall snd;
     }
   in
   {

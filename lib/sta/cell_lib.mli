@@ -1,9 +1,9 @@
 (** Standard-cell timing characterization — a miniature NLDM library
     generator.
 
-    For each cell and input pin, a transient run per (input slew, output
-    load) grid point measures the 50 %-to-50 % propagation delay and the
-    20-80 % output slew, for both output edges.  All three cells are
+    For each cell, input pin and output edge, one transient run per (input
+    slew, output load) grid point measures both the 50 %-to-50 %
+    propagation delay and the 20-80 % output slew.  All three cells are
     negative-unate (input rise drives output fall), so each arc carries a
     table pair indexed by the *input* edge.  Leakage is tabulated per input
     state from DC supply current. *)

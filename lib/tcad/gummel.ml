@@ -70,12 +70,13 @@ let gummel_at ?(tol = 5e-7) ?(max_gummel = 40) ?(srh = Some Continuity.default_s
         (No_convergence
            (Printf.sprintf "Poisson stalled at Vg=%.3f Vd=%.3f (residual %.2e)" biases.gate
               biases.drain sol.Poisson.residual));
-    let psi' =
-      Numerics.Guard.fvec
-        ~origin:(Printf.sprintf "Gummel.gummel_at: psi at Vg=%.3f Vd=%.3f" biases.gate
-                   biases.drain)
-        sol.Poisson.psi
-    in
+    let psi' = sol.Poisson.psi in
+    if Numerics.Guard.is_enabled () then
+      ignore
+        (Numerics.Guard.fvec
+           ~origin:(Printf.sprintf "Gummel.gummel_at: psi at Vg=%.3f Vd=%.3f" biases.gate
+                      biases.drain)
+           psi');
     let recombination = Option.map (fun s -> (s, n_prev, p_prev)) srh in
     let e =
       Continuity.solve ?recombination ?scratch dev ~carrier:Continuity.Electrons ~biases
@@ -107,6 +108,15 @@ let gummel_at ?(tol = 5e-7) ?(max_gummel = 40) ?(srh = Some Continuity.default_s
                 biases.drain delta))
       end;
       Obs.Metrics.observe inner_iterations_hist (float_of_int iter);
+      let drain_current =
+        total_drain_current dev ~psi:psi' ~u:e.Continuity.u ~w:h.Continuity.u
+      in
+      if Numerics.Guard.is_enabled () then
+        ignore
+          (Numerics.Guard.float
+             ~origin:(Printf.sprintf "Gummel.gummel_at: drain current at Vg=%.3f Vd=%.3f"
+                        biases.gate biases.drain)
+             drain_current);
       {
         biases;
         psi = psi';
@@ -116,11 +126,7 @@ let gummel_at ?(tol = 5e-7) ?(max_gummel = 40) ?(srh = Some Continuity.default_s
         p = h.Continuity.density;
         phi_n = e.Continuity.quasi_fermi;
         phi_p = h.Continuity.quasi_fermi;
-        drain_current =
-          Numerics.Guard.float
-            ~origin:(Printf.sprintf "Gummel.gummel_at: drain current at Vg=%.3f Vd=%.3f"
-                       biases.gate biases.drain)
-            (total_drain_current dev ~psi:psi' ~u:e.Continuity.u ~w:h.Continuity.u);
+        drain_current;
       }
     end
     else

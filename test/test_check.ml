@@ -336,6 +336,27 @@ let finite_tests =
           Alcotest.(check string) "rule" "num-nonfinite" d.Diag.rule;
           Alcotest.(check bool) "origin names the solver" true
             (contains_sub d.Diag.location "Dcop.solve"));
+    u "transient reports the time point of a non-finite state" (fun () ->
+        let c = N.create () in
+        let a = N.node c "a" and out = N.node c "out" in
+        N.add c (N.Voltage_source { name = "V1"; plus = a; minus = N.ground;
+                                    wave = N.Dc 1.0 });
+        N.add c (N.Resistor { plus = a; minus = out; ohms = 1e3 });
+        N.add c (N.Capacitor { plus = out; minus = N.ground; farads = 1e-12 });
+        let sys = Spice.Mna.build c in
+        let x0 = Array.make (Spice.Mna.size sys) 0.0 in
+        x0.(1) <- Float.nan;
+        let run () = Spice.Transient.run ~x0 sys ~t_stop:1e-9 ~steps:10 in
+        (* Disabled, the poisoned state only shows as a stuck Newton. *)
+        (match run () with
+         | exception Spice.Dcop.No_convergence _ -> ()
+         | _ -> Alcotest.fail "a nan state integrated without the guard");
+        match Check.Finite.run run with
+        | Ok _ -> Alcotest.fail "nan state passed the enabled guard"
+        | Error d ->
+          Alcotest.(check string) "rule" "num-nonfinite" d.Diag.rule;
+          Alcotest.(check bool) "origin names the time point" true
+            (contains_sub d.Diag.location "Transient.run: state at t="));
   ]
 
 (* --- diagnostics plumbing ---------------------------------------------- *)

@@ -118,6 +118,15 @@ let lut_tests =
 
 let cell_lib_tests =
   [
+    u "one transient per grid point and output edge" (fun () ->
+        let solves = Obs.Metrics.counter "spice.newton.solves" in
+        let before = Obs.Metrics.counter_value solves in
+        ignore (Cell_lib.characterize_cell pair ~vdd:0.25 Cell_lib.Inv);
+        (* Two output edges x 3 x 3 grid points, each a DC operating point
+           and 420 steps of one Newton solve, then one DC solve per input
+           state for the leakage. *)
+        Alcotest.(check int) "newton solves" ((2 * 3 * 3 * (1 + 420)) + 2)
+          (Obs.Metrics.counter_value solves - before));
     slow "delays grow with load and with input slew" (fun () ->
         let inv = Cell_lib.find (Lazy.force lib) Cell_lib.Inv in
         let arc = inv.Cell_lib.arcs.(0) in

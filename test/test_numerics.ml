@@ -29,6 +29,35 @@ let gen_dd_system n =
       m;
     pure (m, b))
 
+(* Square matrices of order 1-7 built to stress the factorization's corner
+   cases: mostly structural zeros, both signed zeros, infinities and NaNs
+   (on the diagonal too, so NaN pivots occur), small integers whose
+   magnitudes tie between pivot candidates, near-threshold and subnormal
+   magnitudes for the Singular test, and general floats. *)
+let gen_lu_stress =
+  QCheck2.Gen.(
+    let entry =
+      frequency
+        [
+          (8, pure 0.0);
+          (2, pure (-0.0));
+          (1, oneofl [ Float.infinity; Float.neg_infinity; Float.nan ]);
+          (4, map float_of_int (int_range (-3) 3));
+          (1, oneofl [ 1e-300; -1e-301; 5e-324; 1e300 ]);
+          (3, float_range (-10.0) 10.0);
+        ]
+    in
+    let* n = int_range 1 7 in
+    let* a = array_size (pure (n * n)) entry in
+    pure (Array.init n (fun i -> Array.init n (fun j -> a.((i * n) + j)))))
+
+(* A factorization's outcome as comparable data: the factors as IEEE-754
+   bits with the permutation, or the column a Singular names. *)
+let lu_outcome factor a =
+  match factor a with
+  | exception Matrix.Singular k -> Error k
+  | lu, perm -> Ok (Array.map (Array.map Int64.bits_of_float) lu, perm)
+
 let vec_tests =
   [
     u "linspace endpoints and spacing" (fun () ->
@@ -68,6 +97,18 @@ let matrix_tests =
         match Matrix.lu_factor a with
         | exception Matrix.Singular _ -> ()
         | _ -> Alcotest.fail "expected Singular");
+    prop ~count:2000 "lu_factor and lu_factor_in_place match the dividing oracle bit for bit"
+      gen_lu_stress (fun a ->
+        let input = Array.map (Array.map Int64.bits_of_float) a in
+        let oracle =
+          lu_outcome (fun a -> let f = Dense_lu.lu_factor a in (f.Dense_lu.lu, f.Dense_lu.perm)) a
+        in
+        let factored = lu_outcome (fun a -> let f = Matrix.lu_factor a in (f.lu, f.perm)) a in
+        let untouched = Array.map (Array.map Int64.bits_of_float) a = input in
+        let in_place =
+          lu_outcome (fun a -> let f = Matrix.lu_factor_in_place a in (f.lu, f.perm)) a
+        in
+        untouched && oracle = factored && oracle = in_place);
     u "factor does not mutate input" (fun () ->
         let a = [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
         let copy = Matrix.copy a in

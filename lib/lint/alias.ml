@@ -41,11 +41,7 @@ let short_of_root (r : Summary.Flow.root) =
   let base =
     match r.Summary.Flow.base with
     | Summary.Flow.Param _ | Summary.Flow.Outer _ -> None
-    | Summary.Flow.Local unique ->
-      (* unique names read "x_123"; keep the source part *)
-      (match String.rindex_opt unique '_' with
-       | Some i when i > 0 -> Some (String.sub unique 0 i)
-       | _ -> Some unique)
+    | Summary.Flow.Local unique -> Some (Paths.strip_stamp unique)
   in
   match (base, r.Summary.Flow.rev_fields) with
   | Some b, [] -> b
@@ -89,9 +85,9 @@ let rec directly_hazardous_leaf (e : expression) =
 
 (* --- the pass ------------------------------------------------------------ *)
 
-let check_def (env : Summary.env) ~source (d : Callgraph.def) : D.t list =
-  let ctx = Summary.Flow.ctx_of_def env d in
-  let current_unit = d.Callgraph.unit_module in
+let check_def ~source (s : Summary.fsum) : D.t list =
+  let ctx = s.Summary.ctx and d = s.Summary.fdef in
+  let env = ctx.Summary.env and current_unit = ctx.Summary.current_unit in
   let diags = ref [] in
   let seen = Hashtbl.create 8 in
   let emit ~rule ~loc ~msg ~hint =
@@ -294,7 +290,9 @@ let check_def (env : Summary.env) ~source (d : Callgraph.def) : D.t list =
   List.rev !diags
 
 let check (env : Summary.env) ~source : D.t list =
-  List.concat_map (check_def env ~source)
-    (Callgraph.defs_of_source (Summary.callgraph env) source)
+  List.concat_map (check_def ~source)
+    (List.filter
+       (fun (s : Summary.fsum) -> s.Summary.fdef.Callgraph.source = source)
+       (Summary.sums env))
 
 let selftest () = 4 (* ALS001-004 registered *)

@@ -1,4 +1,4 @@
-(* Function-definition discovery for the interprocedural ALS pass.
+(* Function-definition discovery for the interprocedural ALS and RAC passes.
 
    Walks every loaded compilation unit and records each let-bound function
    (toplevel or nested in sub-modules) under a qualified source-level name:
@@ -32,7 +32,18 @@ type def = {
   loc : Location.t;
 }
 
-type t = { defs : def list; by_name : (string, def list) Hashtbl.t }
+type t = {
+  defs : def list;
+  by_name : (string, def list) Hashtbl.t;
+  by_last : (string, def list) Hashtbl.t;
+      (* last name component -> defs, in definition order: every qname
+         that ends with ".name" shares name's last component *)
+}
+
+let last_component name =
+  match String.rindex_opt name '.' with
+  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+  | None -> name
 
 let unit_module_of_source source =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename source))
@@ -117,17 +128,15 @@ let defs_of_unit (u : Cmt_load.unit_info) : def list =
 
 let build (units : Cmt_load.unit_info list) : t =
   let defs = List.concat_map defs_of_unit units in
-  let by_name = Hashtbl.create 256 in
-  List.iter
-    (fun d ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_name d.qname) in
-      Hashtbl.replace by_name d.qname (d :: prev))
-    defs;
-  { defs; by_name }
+  let by_name = Hashtbl.create 256 and by_last = Hashtbl.create 256 in
+  let add tbl key d =
+    Hashtbl.replace tbl key (d :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+  in
+  List.iter (fun d -> add by_name d.qname d) defs;
+  List.iter (fun d -> add by_last (last_component d.qname) d) (List.rev defs);
+  { defs; by_name; by_last }
 
 let defs t = t.defs
-
-let defs_of_source t source = List.filter (fun d -> d.source = source) t.defs
 
 (* Resolve a call-site path against the table.  The recorded [qname]s are
    fully qualified; the call may be any suffix of one ("solve",
@@ -152,12 +161,10 @@ let find ?current_unit t (p : Path.t) : def option =
     let matches =
       List.filter
         (fun d ->
-          let q = d.qname in
-          String.length q > String.length suffix
-          && String.sub q (String.length q - String.length suffix)
-               (String.length suffix)
-             = suffix)
-        t.defs
+          String.length d.qname > String.length suffix
+          && String.ends_with ~suffix d.qname)
+        (Option.value ~default:[]
+           (Hashtbl.find_opt t.by_last (last_component name)))
     in
     (match matches with
      | [ d ] -> Some d

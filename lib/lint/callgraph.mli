@@ -1,4 +1,4 @@
-(** Function-definition table for the interprocedural ALS pass.
+(** Function-definition table for the interprocedural ALS and RAC passes.
 
     Records every let-bound function in the loaded units under its
     qualified source-level name ("Poisson.solve") so call sites — whose
@@ -31,10 +31,8 @@ val build : Cmt_load.unit_info list -> t
 
 val defs : t -> def list
 
-val defs_of_source : t -> string -> def list
-(** Definitions recorded from one source file, in declaration order. *)
-
 val find : ?current_unit:string -> t -> Path.t -> def option
 (** Resolve a call-site path: exact qualified match first, then unique
     suffix match, then — among several suffix matches — the unique one
-    defined in [current_unit].  Anything else is [None]. *)
+    defined in [current_unit].  Anything else is [None].  Suffix matches
+    come from an index on the last name component, not a scan. *)

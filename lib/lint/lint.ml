@@ -12,9 +12,10 @@
     - {!Units} — UNT001-005: static dimensional analysis over the Eq. 1-8
       model chain, seeded from the {!Unit_sig} tables (on by default,
       disable with [~units:false] / [--no-units]);
-    - {!Races} — RAC001-005: interprocedural lockset & domain-safety
-      analysis over the same {!Callgraph}/{!Summary} fixpoint (on by
-      default, disable with [~races:false] / [--no-races]).
+    - {!Alias} — ALS001-004: buffer ownership and aliasing, and {!Races} —
+      RAC001-005: lockset and domain safety.  Both read the one
+      {!Summary} fixpoint over the {!Callgraph}, computed once per tree,
+      and always run.
 
     Findings are {!Check.Diagnostic}s, so reports and exit codes behave
     exactly like [subscale check]/[audit]; deliberate keeps live in the
@@ -53,65 +54,42 @@ let exempt_output source =
   List.exists (fun prefix -> starts_with ~prefix source) output_exempt_dirs
 
 (* The ALS and RAC passes need whole-tree context: summaries of callees
-   live in other units.  [alias_env] carries the fixpoint computed once
-   per root (or once per single unit for lint_cmt); [races_env] builds the
+   live in other units.  [analyze] runs the one summary fixpoint over a
+   set of units (a whole root, or the single unit for lint_cmt) and the
    lockset analysis on top of it. *)
-let alias_env units = Summary.compute (Callgraph.build units)
+let analyze units =
+  let env = Summary.compute (Callgraph.build units) in
+  (env, Races.analyze env)
 
-let races_env env = Races.analyze env
-
-let lint_unit ?(units = true) ?alias_env:env ?races_env:renv
-    (u : Cmt_load.unit_info) : file_report =
+let lint_unit ?(units = true) (env, races) (u : Cmt_load.unit_info) : file_report =
   let source = u.Cmt_load.source in
   let diags =
     Purity.check ~source u.Cmt_load.structure
     @ Hygiene.check ~source ~exempt_output:(exempt_output source) u.Cmt_load.structure
     @ Discipline.check ~source u.Cmt_load.structure
     @ (if units then Units.check ~source u.Cmt_load.structure else [])
-    @ (match env with Some e -> Alias.check e ~source | None -> [])
-    @ (match renv with Some r -> Races.check r ~source | None -> [])
+    @ Alias.check env ~source
+    @ Races.check races ~source
   in
   { source; diags = D.sort diags }
 
-let lint_cmt ?units ?(alias = true) ?(races = true) path =
-  match Cmt_load.load path with
-  | Cmt_load.Unit u ->
-    let env = if alias || races then Some (alias_env [ u ]) else None in
-    let renv =
-      match env with Some e when races -> Some (races_env e) | _ -> None
-    in
-    let env = if alias then env else None in
-    Some (lint_unit ?units ?alias_env:env ?races_env:renv u)
-  | Cmt_load.Skipped -> None
-  | Cmt_load.Unreadable (p, msg) ->
-    Some
-      { source = p;
-        diags =
-          [ D.warning ~rule:Lint_rules.unreadable_cmt ~location:p
-              (Printf.sprintf "unreadable .cmt artifact: %s" msg)
-              ~hint:"stale build? re-run `dune build` and lint again" ] }
+let unreadable_report (p, msg) =
+  { source = p;
+    diags =
+      [ D.warning ~rule:Lint_rules.unreadable_cmt ~location:p
+          (Printf.sprintf "unreadable .cmt artifact: %s" msg)
+          ~hint:"stale build? re-run `dune build` and lint again" ] }
 
-let lint_root ?units:(units_on = true) ?(alias = true) ?(races = true) root =
-  let units, unreadable = Cmt_load.load_root root in
-  let env = if alias || races then Some (alias_env units) else None in
-  let renv =
-    match env with Some e when races -> Some (races_env e) | _ -> None
-  in
-  let env = if alias then env else None in
-  let reports =
-    List.map (lint_unit ~units:units_on ?alias_env:env ?races_env:renv) units
-  in
-  let unreadable_reports =
-    List.map
-      (fun (p, msg) ->
-        { source = p;
-          diags =
-            [ D.warning ~rule:Lint_rules.unreadable_cmt ~location:p
-                (Printf.sprintf "unreadable .cmt artifact: %s" msg)
-                ~hint:"stale build? re-run `dune build` and lint again" ] })
-      unreadable
-  in
-  reports @ unreadable_reports
+let lint_cmt ?units path =
+  match Cmt_load.load path with
+  | Cmt_load.Unit u -> Some (lint_unit ?units (analyze [ u ]) u)
+  | Cmt_load.Skipped -> None
+  | Cmt_load.Unreadable (p, msg) -> Some (unreadable_report (p, msg))
+
+let lint_root ?units root =
+  let loaded, unreadable = Cmt_load.load_root root in
+  let analysis = analyze loaded in
+  List.map (lint_unit ?units analysis) loaded @ List.map unreadable_report unreadable
 
 let all_diags reports = List.concat_map (fun r -> r.diags) reports
 

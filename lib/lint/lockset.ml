@@ -1,20 +1,17 @@
 (* The lockset engine behind RAC001-005 (lib/lint/races.ml).
 
-   Three layers, all driven by the same {!Callgraph} the ALS pass built:
+   It works over the {!Summary} fixpoint, whose concurrency half already
+   says, per definition, whether the body may raise or block and which
+   lock classes it acquires.  On top of that this module adds:
 
-   1. per-definition static info (parameter table, let-alias table, nested
-      let-bound functions) mirroring Summary.Flow's collect-then-judge
-      shape, plus lock *identity*: a mutex expression resolves to an
-      instance root (Summary.Flow.roots) and a static class — the record
-      type head plus field label ("Store.t.pending_lock"), the enclosing
-      unit plus value name for module-level locks ("Memo.registry_lock"),
-      or a definition-private name for locals;
+   1. lock *identity*: a mutex expression resolves to an instance root
+      (Summary.Flow.roots) and a static class (Summary.cls_of) — the
+      record type head plus field label ("Store.t.pending_lock"), the
+      enclosing unit plus value name for module-level locks
+      ("Memo.registry_lock"), or a definition-private name for locals;
 
-   2. a bounded monotone fixpoint of per-definition summaries: may the
-      body raise, may it block, which lock classes does it acquire
-      (including through resolved calls), and which of those acquisitions
-      are rooted in a parameter (so call sites can instantiate them
-      against the actuals);
+   2. domain-crossing reachability: every definition a closure passed to
+      Exec.map*/Pool.map/Domain.spawn can reach through resolved calls;
 
    3. a path-sensitive walk of each body threading the *held lockset* —
       which locks are held and whether each is exception-protected
@@ -34,11 +31,9 @@
 module Flow = Summary.Flow
 open Typedtree
 
-type lock_kind = Kmod | Kfield | Klocal | Kparam
-
 type lock = {
   l_cls : string option;
-  l_kind : lock_kind;
+  l_kind : Summary.lock_kind;
   l_roots : Flow.root list;
   l_name : string;
   l_site : Location.t;
@@ -67,99 +62,7 @@ type event =
   | Torn_rmw of { name : string; site : Location.t }
   | Mod_lock_seen of string
 
-(* --- primitive tables ---------------------------------------------------- *)
-
 let matches cands name = Paths.suffix_matches ~candidates:cands name
-
-(* Acquire/release/guard forms, matched before everything else. *)
-let lock_names = [ "Mutex.lock" ]
-let unlock_names = [ "Mutex.unlock" ]
-let protect_names = [ "Mutex.protect" ]
-let fun_protect_names = [ "Fun.protect" ]
-let atomic_get_names = [ "Atomic.get" ]
-let atomic_set_names = [ "Atomic.set" ]
-let spawn_names = [ "Domain.spawn" ]
-let array_get_names = [ "Array.get"; "Array.unsafe_get" ]
-
-(* Transparent higher-order functions: literal closure arguments run
-   within the call's dynamic extent, so they are walked with the current
-   held lockset.  The iterators themselves never raise. *)
-let hof_names =
-  [ "List.iter"; "List.iteri"; "List.map"; "List.mapi"; "List.rev_map";
-    "List.filter"; "List.filter_map"; "List.concat_map"; "List.fold_left";
-    "List.fold_right"; "List.exists"; "List.for_all"; "List.find_opt";
-    "List.partition"; "List.sort"; "List.stable_sort"; "List.sort_uniq";
-    "Array.iter"; "Array.iteri"; "Array.map"; "Array.mapi";
-    "Array.fold_left"; "Array.init"; "Hashtbl.iter"; "Hashtbl.fold";
-    "Hashtbl.filter_map_inplace"; "Queue.iter"; "Option.iter"; "Option.map";
-    "Option.bind"; "Option.fold"; "with_span" ]
-
-(* Never raise: the explicit floor under the "unknown may raise" polarity.
-   Partial stdlib operations (Hashtbl.find, List.hd, Array.get, /, ...)
-   are deliberately absent — falling through to "unknown" is the point. *)
-let safe_names =
-  [ "Mutex.create"; "Mutex.try_lock"; "Condition.create"; "Condition.wait";
-    "Condition.signal"; "Condition.broadcast"; "Atomic.make"; "Atomic.incr";
-    "Atomic.decr"; "Atomic.exchange"; "Atomic.compare_and_set";
-    "Atomic.fetch_and_add"; "Hashtbl.create"; "Hashtbl.add";
-    "Hashtbl.replace"; "Hashtbl.remove"; "Hashtbl.mem"; "Hashtbl.find_opt";
-    "Hashtbl.find_all"; "Hashtbl.length"; "Hashtbl.reset"; "Hashtbl.clear";
-    "Hashtbl.hash"; "Queue.create"; "Queue.add"; "Queue.push";
-    "Queue.is_empty"; "Queue.length"; "Queue.clear"; "Queue.transfer";
-    "Buffer.create"; "Buffer.add_string"; "Buffer.add_char";
-    "Buffer.add_buffer"; "Buffer.contents"; "Buffer.length"; "Buffer.clear";
-    "Buffer.reset"; "Stack.create"; "Stack.push"; "Stack.is_empty";
-    "Stack.length"; "Stack.clear"; "List.rev"; "List.length"; "List.mem";
-    "List.memq"; "List.append"; "List.concat"; "List.rev_append";
-    "List.cons"; "Array.length"; "Array.make"; "Array.copy";
-    "Array.unsafe_get"; "Array.unsafe_set"; "Array.to_list"; "Array.of_list";
-    "String.length"; "String.equal"; "String.compare"; "String.concat";
-    "String.trim"; "String.make"; "String.lowercase_ascii";
-    "String.uppercase_ascii"; "String.capitalize_ascii"; "String.contains";
-    "String.starts_with"; "String.ends_with"; "String.split_on_char";
-    "Bytes.length"; "Bytes.create"; "ref"; "!"; ":="; "incr"; "decr"; "not";
-    "ignore"; "fst"; "snd"; "succ"; "pred"; "abs"; "abs_float"; "max"; "min";
-    "compare"; "="; "<>"; "=="; "!="; "<"; ">"; "<="; ">="; "&&"; "||";
-    "+"; "-"; "*"; "+."; "-."; "*."; "/."; "~-"; "~-."; "~+"; "~+.";
-    "float_of_int"; "int_of_float"; "float"; "truncate"; "ceil"; "floor";
-    "sqrt"; "exp"; "log"; "log10"; "sin"; "cos"; "tan"; "atan"; "atan2";
-    "land"; "lor"; "lxor"; "lnot"; "lsl"; "lsr"; "asr"; "string_of_int";
-    "string_of_float"; "string_of_bool"; "int_of_string_opt";
-    "float_of_string_opt"; "bool_of_string_opt"; "int_of_char";
-    "Printf.sprintf"; "Format.sprintf"; "Format.asprintf"; "Float.equal";
-    "Float.compare"; "Float.of_int"; "Float.to_int"; "Float.is_nan";
-    "Float.is_finite"; "Float.abs"; "Float.min"; "Float.max";
-    "Float.of_string_opt"; "Int.equal"; "Int.compare"; "Int.min"; "Int.max";
-    "Int.abs"; "Int.to_float"; "Bool.equal"; "Char.equal"; "Char.code";
-    "Option.value"; "Option.is_some"; "Option.is_none"; "Option.some";
-    "Option.to_list"; "Option.equal"; "Result.is_ok"; "Result.is_error";
-    "Result.ok"; "Result.error"; "Result.value"; "Sys.getenv_opt";
-    "Sys.time"; "Sys.file_exists"; "Unix.gettimeofday";
-    "Domain.recommended_domain_count"; "Domain.self"; "Domain.cpu_relax";
-    "Fun.id"; "Fun.negate"; "Fun.const"; "Filename.concat";
-    "Filename.basename"; "Filename.dirname"; "Printexc.to_string" ]
-
-(* Calls that never return: a branch ending here drops out of the join,
-   so "unlock; invalid_arg" early exits do not poison the fall-through
-   path's held set. *)
-let diverging_names =
-  [ "raise"; "raise_notrace"; "failwith"; "invalid_arg"; "exit";
-    "Printexc.raise_with_backtrace" ]
-
-(* May block the calling domain (RAC005 while any lock is held).
-   Condition.wait is deliberately absent: waiting releases the mutex —
-   it *is* the sanctioned blocking-under-lock pattern. *)
-let blocking_names =
-  [ "Unix.read"; "Unix.write"; "Unix.single_write"; "Unix.select";
-    "Unix.connect"; "Unix.accept"; "Unix.recv"; "Unix.send"; "Unix.sleep";
-    "Unix.sleepf"; "Unix.waitpid"; "Unix.system"; "Unix.openfile";
-    "In_channel.with_open_bin"; "In_channel.with_open_text";
-    "In_channel.open_bin"; "In_channel.input_all"; "In_channel.input_line";
-    "Out_channel.with_open_bin"; "Out_channel.with_open_text";
-    "Out_channel.open_bin"; "Out_channel.output_string"; "Out_channel.flush";
-    "open_in"; "open_in_bin"; "open_out"; "open_out_bin"; "input_line";
-    "really_input"; "output_string"; "Sys.rename"; "Sys.remove";
-    "Sys.readdir"; "Sys.command"; "Sys.mkdir"; "Digest.file"; "Domain.join" ]
 
 (* Container operations that mutate their container argument, for the
    read/write split of RAC001 accesses. *)
@@ -171,174 +74,31 @@ let mutator_names =
     "Buffer.add_buffer"; "Buffer.clear"; "Buffer.reset"; "Stack.push";
     "Stack.pop"; "Stack.clear" ]
 
-let crossing_targets = Purity.target_functions @ spawn_names
+type t = (string, unit) Hashtbl.t  (* definitions run under another domain *)
 
-let blocking_ok (attrs : Parsetree.attributes) =
-  List.exists
-    (fun a -> a.Parsetree.attr_name.Location.txt = "blocking_ok")
-    attrs
-
-(* --- per-definition static info ------------------------------------------ *)
-
-type dinfo = {
-  d : Callgraph.def;
-  flow : Flow.ctx;
-  params : (string, int) Hashtbl.t;   (* unique_name -> param index *)
-  bound : (string, unit) Hashtbl.t;
-  aliases : (string, expression) Hashtbl.t;
-  funs : (string, expression) Hashtbl.t;  (* let-bound Texp_function *)
-  atomic_gets : (string, Flow.root list) Hashtbl.t;
-      (* let x = Atomic.get a  ->  roots of a, for RAC004 *)
-}
-
-type fsum = {
-  s_raise : bool;
-  s_blocks : bool;
-  s_acq : (string * lock_kind) list;            (* sorted classes *)
-  s_pacq : (int * string list * string option) list;
-      (* param-rooted acquisitions: index, projection trail, class *)
-}
-
-let empty_sum = { s_raise = false; s_blocks = false; s_acq = []; s_pacq = [] }
-
-type t = {
-  env : Summary.env;
-  sums : (string, fsum) Hashtbl.t;
-  cross_set : (string, unit) Hashtbl.t;
-  dinfos : (string, dinfo) Hashtbl.t;
-}
-
-let crossing t qname = Hashtbl.mem t.cross_set qname
-
-let dname p = Paths.demangle (Paths.path_name p)
+let crossing t qname = Hashtbl.mem t qname
 
 let rec unwrap_fun (e : expression) =
   match e.exp_desc with
   | Texp_function { cases = [ c ]; _ } when c.c_guard = None -> unwrap_fun c.c_rhs
   | _ -> e
 
-let is_fun (e : expression) =
-  match e.exp_desc with Texp_function _ -> true | _ -> false
-
-let pos_arg args i =
-  let rec go n = function
-    | [] -> None
-    | (Asttypes.Nolabel, Some a) :: rest ->
-      if n = i then Some a else go (n + 1) rest
-    | _ :: rest -> go n rest
-  in
-  go 0 args
-
-let lab_arg args l =
-  List.find_map
-    (function
-      | Asttypes.Labelled l', Some a when String.equal l l' -> Some a
-      | _ -> None)
-    args
-
-let mk_dinfo env (d : Callgraph.def) =
-  let di =
-    { d;
-      flow = Flow.ctx_of_def env d;
-      params = Hashtbl.create 8;
-      bound = Hashtbl.create 64;
-      aliases = Hashtbl.create 16;
-      funs = Hashtbl.create 4;
-      atomic_gets = Hashtbl.create 4 }
-  in
-  List.iteri
-    (fun i (p : Callgraph.param) ->
-      List.iter
-        (fun id -> Hashtbl.replace di.params (Ident.unique_name id) i)
-        p.Callgraph.p_idents)
-    d.Callgraph.params;
-  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
-    fun it p ->
-    List.iter
-      (fun id -> Hashtbl.replace di.bound (Ident.unique_name id) ())
-      (pat_bound_idents p);
-    Tast_iterator.default_iterator.pat it p
-  in
-  let value_binding it vb =
-    (match vb.vb_pat.pat_desc with
-     | Tpat_var (id, _) ->
-       let key = Ident.unique_name id in
-       Hashtbl.replace di.aliases key vb.vb_expr;
-       (match vb.vb_expr.exp_desc with
-        | Texp_function _ -> Hashtbl.replace di.funs key vb.vb_expr
-        | Texp_apply (fn, args) ->
-          (match Paths.applied_path fn with
-           | Some p when matches atomic_get_names (dname p) ->
-             (match pos_arg args 0 with
-              | Some a -> Hashtbl.replace di.atomic_gets key (Flow.roots di.flow a)
-              | None -> ())
-           | _ -> ())
-        | _ -> ())
-     | _ -> ());
-    Tast_iterator.default_iterator.value_binding it vb
-  in
-  let it = { Tast_iterator.default_iterator with pat; value_binding } in
-  List.iter (fun vb -> it.value_binding it vb) d.Callgraph.prelude;
-  it.expr it d.Callgraph.body;
-  di
-
 (* --- lock identity -------------------------------------------------------- *)
-
-let strip_stamp unique =
-  match String.rindex_opt unique '_' with
-  | Some i when i > 0 -> String.sub unique 0 i
-  | _ -> unique
-
-let head_name (te : Types.type_expr) =
-  match Paths.demangled_head te with Some (n, _) -> Some n | None -> None
-
-(* Static class of a mutex-valued expression; [depth] caps alias chains. *)
-let rec cls_of ?(depth = 0) (di : dinfo) (e : expression) :
-    string option * lock_kind =
-  if depth > 8 then (None, Klocal)
-  else
-    match e.exp_desc with
-    | Texp_ident (Path.Pident id, _, _) ->
-      let key = Ident.unique_name id in
-      if Hashtbl.mem di.params key then (None, Kparam)
-      else (
-        match Hashtbl.find_opt di.aliases key with
-        | Some rhs when not (is_fun rhs) -> (
-          match cls_of ~depth:(depth + 1) di rhs with
-          | (Some _, _) as r -> r
-          | None, _ ->
-            if Hashtbl.mem di.bound key then (Some ("local " ^ key), Klocal)
-            else (None, Klocal))
-        | Some _ | None ->
-          if Hashtbl.mem di.bound key then (Some ("local " ^ key), Klocal)
-          else
-            (* module-level value of the unit under analysis *)
-            (Some (di.d.Callgraph.unit_module ^ "." ^ strip_stamp key), Kmod))
-    | Texp_ident (p, _, _) -> (Some (dname p), Kmod)
-    | Texp_field (inner, _, lbl) ->
-      let head = Option.value ~default:"?" (head_name inner.exp_type) in
-      (Some (head ^ "." ^ lbl.Types.lbl_name), Kfield)
-    | Texp_apply (fn, args) -> (
-      match Paths.applied_path fn with
-      | Some p when matches array_get_names (dname p) -> (
-        match pos_arg args 0 with
-        | Some arr -> cls_of ~depth:(depth + 1) di arr
-        | None -> (None, Klocal))
-      | _ -> (None, Klocal))
-    | _ -> (None, Klocal)
 
 let rec pname (e : expression) =
   match e.exp_desc with
   | Texp_ident (Path.Pident id, _, _) -> Ident.name id
-  | Texp_ident (p, _, _) -> dname p
+  | Texp_ident (p, _, _) -> Summary.dname p
   | Texp_field (inner, _, lbl) -> pname inner ^ "." ^ lbl.Types.lbl_name
   | Texp_apply (_, args) -> (
-    match pos_arg args 0 with Some a -> pname a ^ ".(_)" | None -> "<lock>")
+    match Summary.actual_of_slot args (Pos 0) with
+    | Some a -> pname a ^ ".(_)"
+    | None -> "<lock>")
   | _ -> "<lock>"
 
-let lock_of_expr (di : dinfo) (e : expression) ~site : lock option =
-  let roots = Flow.roots di.flow e in
-  let cls, kind = cls_of di e in
+let lock_of_expr (ctx : Summary.ctx) (e : expression) ~site : lock option =
+  let roots = Flow.roots ctx e in
+  let cls, kind = Summary.cls_of ctx e in
   match (cls, roots) with
   | None, [] -> None (* unknown identity: untracked, never convicted *)
   | _ ->
@@ -380,7 +140,9 @@ let guards_for held (acc_roots : Flow.root list) =
 (* --- guarded-record field classification (RAC001a) ------------------------ *)
 
 let type_is name (te : Types.type_expr) =
-  match head_name te with Some n -> String.equal n name | None -> false
+  match Paths.demangled_head te with
+  | Some (n, _) -> String.equal n name
+  | None -> false
 
 let mutexish (te : Types.type_expr) =
   type_is "Mutex.t" te || type_is "Condition.t" te
@@ -402,252 +164,43 @@ let interesting_field (lbl : Types.label_description) =
   else None
 
 let field_cls (record : expression) (lbl : Types.label_description) =
-  let head = Option.value ~default:"?" (head_name record.exp_type) in
+  let head =
+    match Paths.demangled_head record.exp_type with Some (n, _) -> n | None -> "?"
+  in
   head ^ "." ^ lbl.Types.lbl_name
 
-let receiver_fresh (di : dinfo) (roots : Flow.root list) =
+let receiver_fresh (ctx : Summary.ctx) (roots : Flow.root list) =
   List.exists
     (fun (r : Flow.root) ->
       match r.Flow.base with
       | Flow.Local u -> (
-        match Hashtbl.find_opt di.aliases u with
+        match Hashtbl.find_opt ctx.Summary.aliases u with
         | Some { exp_desc = Texp_record _; _ } -> true
         | _ -> false)
       | Flow.Param _ | Flow.Outer _ -> false)
     roots
 
 (* Class of a module-level mutable container root (RAC001b). *)
-let outer_container_cls (di : dinfo) (r : Flow.root) =
+let outer_container_cls (ctx : Summary.ctx) (r : Flow.root) =
   match (r.Flow.base, r.Flow.rev_fields) with
   | Flow.Outer name, [] ->
     if String.contains name '.' then Some (Paths.demangle name)
-    else Some (di.d.Callgraph.unit_module ^ "." ^ strip_stamp name)
+    else Some (ctx.Summary.current_unit ^ "." ^ Paths.strip_stamp name)
   | _ -> None
-
-(* --- call classification --------------------------------------------------- *)
-
-type call_kind =
-  | Clock
-  | Cunlock
-  | Cprotect
-  | Cfun_protect
-  | Catomic_get
-  | Catomic_set
-  | Cspawn
-  | Ccrossing
-  | Chof
-  | Csafe
-  | Cdiverging
-  | Cblocking
-  | Clocal_fun of string           (* unique name in di.funs *)
-  | Cresolved of Callgraph.def
-  | Cunknown
-
-let classify t (di : dinfo) (p : Path.t) : call_kind * string =
-  let name = dname p in
-  let k =
-    if matches lock_names name then Clock
-    else if matches unlock_names name then Cunlock
-    else if matches protect_names name then Cprotect
-    else if matches fun_protect_names name then Cfun_protect
-    else if matches atomic_get_names name then Catomic_get
-    else if matches atomic_set_names name then Catomic_set
-    else if matches spawn_names name then Cspawn
-    else if matches crossing_targets name then Ccrossing
-    else if matches hof_names name then Chof
-    else if matches blocking_names name then Cblocking
-    else if matches diverging_names name then Cdiverging
-    else if matches safe_names name then Csafe
-    else
-      match p with
-      | Path.Pident id when Hashtbl.mem di.funs (Ident.unique_name id) ->
-        Clocal_fun (Ident.unique_name id)
-      | _ -> (
-        match
-          Callgraph.find ~current_unit:di.d.Callgraph.unit_module
-            (Summary.callgraph t.env) p
-        with
-        | Some d -> Cresolved d
-        | None -> Cunknown)
-  in
-  (k, name)
-
-(* --- effect summaries (fixpoint) ------------------------------------------ *)
-
-type eff_acc = {
-  mutable e_raise : bool;
-  mutable e_blocks : bool;
-  mutable e_acq : (string * lock_kind) list;
-  mutable e_pacq : (int * string list * string option) list;
-  mutable e_mask : int;  (* nesting depth of catch-all try bodies *)
-}
-
-let catch_all_case c =
-  match c.c_lhs.pat_desc with
-  | Tpat_any | Tpat_var _ -> true
-  | _ -> false
-
-let add_acq acc cls kind =
-  match cls with
-  | Some c when kind = Kmod || kind = Kfield ->
-    if not (List.mem_assoc c acc.e_acq) then acc.e_acq <- (c, kind) :: acc.e_acq
-  | _ -> ()
-
-let record_acquire acc (l : lock) =
-  add_acq acc l.l_cls l.l_kind;
-  List.iter
-    (fun (r : Flow.root) ->
-      match r.Flow.base with
-      | Flow.Param i ->
-        let entry = (i, r.Flow.rev_fields, l.l_cls) in
-        if not (List.mem entry acc.e_pacq) then acc.e_pacq <- entry :: acc.e_pacq
-      | Flow.Local _ | Flow.Outer _ -> ())
-    l.l_roots
-
-let sum_of t qname = Option.value ~default:empty_sum (Hashtbl.find_opt t.sums qname)
-
-(* One pass of the effects walk over a definition body (deferred closures
-   skipped; transparent-HOF literal closures and local functions walked). *)
-let compute_effects t (di : dinfo) : fsum =
-  let acc =
-    { e_raise = false; e_blocks = false; e_acq = []; e_pacq = []; e_mask = 0 }
-  in
-  let visited = Hashtbl.create 4 in
-  let raise_hit () = if acc.e_mask = 0 then acc.e_raise <- true in
-  let rec eff (e : expression) =
-    match e.exp_desc with
-    | Texp_function _ -> () (* deferred: its body runs on someone else's clock *)
-    | Texp_assert _ -> () (* assertions are exempt from may-raise (noassert) *)
-    | Texp_try (b, cases) ->
-      if List.exists catch_all_case cases then begin
-        acc.e_mask <- acc.e_mask + 1;
-        eff b;
-        acc.e_mask <- acc.e_mask - 1
-      end
-      else eff b;
-      List.iter (fun c -> Option.iter eff c.c_guard; eff c.c_rhs) cases
-    | Texp_apply (fn, args) ->
-      (match fn.exp_desc with Texp_ident _ -> () | _ -> eff fn);
-      let eff_args ?(closures = `Defer) () =
-        List.iter
-          (function
-            | _, Some (a : expression) when is_fun a -> (
-              match closures with
-              | `Now ->
-                List.iter
-                  (fun c -> Option.iter eff c.c_guard; eff c.c_rhs)
-                  (match a.exp_desc with
-                   | Texp_function { cases; _ } -> cases
-                   | _ -> [])
-              | `Defer -> ())
-            | _, Some a -> eff a
-            | _, None -> ())
-          args
-      in
-      (match Paths.applied_path fn with
-       | None ->
-         eff_args ();
-         raise_hit ()
-       | Some p -> (
-         let kind, _name = classify t di p in
-         match kind with
-         | Clock | Cprotect ->
-           (match pos_arg args 0 with
-            | Some m ->
-              Option.iter (record_acquire acc)
-                (lock_of_expr di m ~site:e.exp_loc)
-            | None -> ());
-           if kind = Cprotect then eff_args ~closures:`Now ()
-         | Cunlock | Catomic_get | Catomic_set | Csafe -> eff_args ()
-         | Cfun_protect | Chof -> eff_args ~closures:`Now ()
-         | Cdiverging ->
-           eff_args ();
-           raise_hit ()
-         | Cblocking ->
-           eff_args ();
-           acc.e_blocks <- true;
-           raise_hit ()
-         | Cspawn | Ccrossing ->
-           (* closure runs on another domain; the call itself waits and
-              propagates the closure's exceptions *)
-           eff_args ();
-           acc.e_blocks <- true;
-           raise_hit ()
-         | Clocal_fun key ->
-           eff_args ();
-           if not (Hashtbl.mem visited key) then begin
-             Hashtbl.add visited key ();
-             (match Hashtbl.find_opt di.funs key with
-              | Some { exp_desc = Texp_function _; _ } as f ->
-                Option.iter
-                  (fun fe ->
-                    match fe.exp_desc with
-                    | Texp_function { cases; _ } ->
-                      List.iter
-                        (fun c -> Option.iter eff c.c_guard; eff c.c_rhs)
-                        cases
-                    | _ -> ())
-                  f
-              | _ -> ())
-           end
-         | Cresolved d ->
-           eff_args ();
-           let s = sum_of t d.Callgraph.qname in
-           if s.s_raise then raise_hit ();
-           if s.s_blocks then acc.e_blocks <- true;
-           List.iter (fun (c, k) -> add_acq acc (Some c) k) s.s_acq
-         | Cunknown ->
-           eff_args ();
-           raise_hit ()))
-    | Texp_let (_, vbs, body) ->
-      List.iter (fun vb -> eff vb.vb_expr) vbs;
-      eff body
-    | Texp_sequence (a, b) -> eff a; eff b
-    | Texp_ifthenelse (c, a, b) -> eff c; eff a; Option.iter eff b
-    | Texp_match (scrut, cases, _) ->
-      eff scrut;
-      List.iter (fun c -> Option.iter eff c.c_guard; eff c.c_rhs) cases
-    | Texp_construct (_, _, es) | Texp_tuple es | Texp_array es ->
-      List.iter eff es
-    | Texp_variant (_, eo) -> Option.iter eff eo
-    | Texp_record { fields; extended_expression } ->
-      Array.iter
-        (function _, Overridden (_, fe) -> eff fe | _, Kept _ -> ())
-        fields;
-      Option.iter eff extended_expression
-    | Texp_field (r, _, _) -> eff r
-    | Texp_setfield (r, _, _, v) -> eff r; eff v
-    | Texp_while (c, b) -> eff c; eff b
-    | Texp_for (_, _, lo, hi, _, b) -> eff lo; eff hi; eff b
-    | Texp_lazy _ -> ()
-    | Texp_letmodule (_, _, _, _, b) -> eff b
-    | Texp_letexception (_, b) -> eff b
-    | Texp_open (_, b) -> eff b
-    | _ -> ()
-  in
-  List.iter (fun vb -> eff vb.vb_expr) di.d.Callgraph.prelude;
-  eff di.d.Callgraph.body;
-  let blocks = acc.e_blocks && not (blocking_ok di.d.Callgraph.def_attrs) in
-  { s_raise = acc.e_raise;
-    s_blocks = blocks;
-    s_acq = List.sort_uniq compare acc.e_acq;
-    s_pacq = List.sort_uniq compare acc.e_pacq }
 
 (* --- domain-crossing reachability ----------------------------------------- *)
 
-let collect_callees t (di : dinfo) (e : expression) =
+let resolve (ctx : Summary.ctx) p =
+  Callgraph.find ~current_unit:ctx.Summary.current_unit
+    (Summary.callgraph ctx.Summary.env) p
+
+let collect_callees ctx (e : expression) =
   let out = ref [] in
   let expr it (e : expression) =
     (match e.exp_desc with
      | Texp_apply (fn, _) -> (
-       match Paths.applied_path fn with
-       | Some p -> (
-         match
-           Callgraph.find ~current_unit:di.d.Callgraph.unit_module
-             (Summary.callgraph t.env) p
-         with
-         | Some d -> out := d.Callgraph.qname :: !out
-         | None -> ())
+       match Option.bind (Paths.applied_path fn) (resolve ctx) with
+       | Some d -> out := d.Callgraph.qname :: !out
        | None -> ())
      | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -656,72 +209,59 @@ let collect_callees t (di : dinfo) (e : expression) =
   it.expr it e;
   !out
 
-let crossing_prepass t =
+(* Seeds are the definitions a closure handed to a crossing target calls,
+   or the named function handed to it; everything they reach through
+   resolved calls runs on another domain too. *)
+let analyze env : t =
   let callees : (string, string list) Hashtbl.t = Hashtbl.create 64 in
   let seeds = ref [] in
-  Hashtbl.iter
-    (fun qname (di : dinfo) ->
-      let all = ref [] in
+  List.iter
+    (fun (s : Summary.fsum) ->
+      let ctx = s.Summary.ctx and d = s.Summary.fdef in
+      let own = ref [] in
+      let seed_arg = function
+        | _, Some (a : expression) ->
+          if Summary.is_fun a then seeds := collect_callees ctx a @ !seeds
+          else (
+            match Option.bind (Paths.applied_path a) (resolve ctx) with
+            | Some callee -> seeds := callee.Callgraph.qname :: !seeds
+            | None -> ())
+        | _, None -> ()
+      in
       let expr it (e : expression) =
         (match e.exp_desc with
          | Texp_apply (fn, args) -> (
            match Paths.applied_path fn with
-           | Some p when matches crossing_targets (dname p) ->
-             List.iter
-               (function
-                 | _, Some (a : expression) ->
-                   if is_fun a then seeds := collect_callees t di a @ !seeds
-                   else (
-                     match Paths.applied_path a with
-                     | Some ap -> (
-                       match
-                         Callgraph.find ~current_unit:di.d.Callgraph.unit_module
-                           (Summary.callgraph t.env) ap
-                       with
-                       | Some d -> seeds := d.Callgraph.qname :: !seeds
-                       | None -> ())
-                     | None -> (
-                       match a.exp_desc with
-                       | Texp_ident (ap, _, _) -> (
-                         match
-                           Callgraph.find
-                             ~current_unit:di.d.Callgraph.unit_module
-                             (Summary.callgraph t.env) ap
-                         with
-                         | Some d -> seeds := d.Callgraph.qname :: !seeds
-                         | None -> ())
-                       | _ -> ()))
-                 | _, None -> ())
-               args
-           | Some _ | None -> ())
+           | Some p ->
+             Option.iter (fun c -> own := c.Callgraph.qname :: !own) (resolve ctx p);
+             if matches Summary.crossing_targets (Summary.dname p) then
+               List.iter seed_arg args
+           | None -> ())
          | _ -> ());
         Tast_iterator.default_iterator.expr it e
       in
       let it = { Tast_iterator.default_iterator with expr } in
-      List.iter (fun vb -> it.expr it vb.vb_expr) di.d.Callgraph.prelude;
-      it.expr it di.d.Callgraph.body;
-      all := collect_callees t di di.d.Callgraph.body;
-      List.iter
-        (fun vb -> all := collect_callees t di vb.vb_expr @ !all)
-        di.d.Callgraph.prelude;
-      Hashtbl.replace callees qname !all)
-    t.dinfos;
+      List.iter (fun vb -> it.expr it vb.vb_expr) d.Callgraph.prelude;
+      it.expr it d.Callgraph.body;
+      Hashtbl.replace callees d.Callgraph.qname !own)
+    (Summary.sums env);
+  let cross_set = Hashtbl.create 64 in
   let rec grow = function
     | [] -> ()
     | q :: rest ->
-      if Hashtbl.mem t.cross_set q then grow rest
+      if Hashtbl.mem cross_set q then grow rest
       else begin
-        Hashtbl.add t.cross_set q ();
+        Hashtbl.add cross_set q ();
         grow (Option.value ~default:[] (Hashtbl.find_opt callees q) @ rest)
       end
   in
-  grow !seeds
+  grow !seeds;
+  cross_set
 
 (* --- the held-lockset walk ------------------------------------------------ *)
 
 type wstate = {
-  t : t;
-  di : dinfo;
+  ctx : Summary.ctx;
   emit : event -> unit;
   w_blocking_ok : bool;
   mutable w_mask : int;       (* catch-all try nesting: masks raise evidence *)
@@ -788,17 +328,17 @@ let note_access st ~cross held ~cls ~kind ~roots ~site ~descr =
          kind;
          guards = guards_for held roots;
          crossing = cross;
-         fresh = receiver_fresh st.di roots;
+         fresh = receiver_fresh st.ctx roots;
          site;
          descr })
 
 (* A module-level mutable container used as a call argument (RAC001b). *)
 let note_container_arg st ~cross held op_name (a : expression) =
   if Paths.is_mutable_container a.exp_type then
-    let roots = Flow.roots st.di.flow a in
+    let roots = Flow.roots st.ctx a in
     List.iter
       (fun r ->
-        match outer_container_cls st.di r with
+        match outer_container_cls st.ctx r with
         | Some cls ->
           let kind = if matches mutator_names op_name then Write else Read in
           note_access st ~cross held ~cls ~kind ~roots:[ r ] ~site:a.exp_loc
@@ -813,14 +353,14 @@ let rec reads_atomic st (aroots : Flow.root list) (v : expression) =
   in
   match v.exp_desc with
   | Texp_ident (Path.Pident id, _, _) -> (
-    match Hashtbl.find_opt st.di.atomic_gets (Ident.unique_name id) with
-    | Some roots -> overlap roots
+    match Hashtbl.find_opt st.ctx.Summary.atomic_gets (Ident.unique_name id) with
+    | Some a -> overlap (Flow.roots st.ctx a)
     | None -> false)
   | Texp_apply (fn, args) ->
     (match Paths.applied_path fn with
-     | Some p when matches atomic_get_names (dname p) -> (
-       match pos_arg args 0 with
-       | Some a -> overlap (Flow.roots st.di.flow a)
+     | Some p when matches Summary.atomic_get_names (Summary.dname p) -> (
+       match Summary.actual_of_slot args (Pos 0) with
+       | Some a -> overlap (Flow.roots st.ctx a)
        | None -> false)
      | _ -> false)
     || List.exists
@@ -844,11 +384,11 @@ let unlocks_in_finally (st : wstate) (fin : expression) : lock list =
     (match e.exp_desc with
      | Texp_apply (fn, args) -> (
        match Paths.applied_path fn with
-       | Some p when matches unlock_names (dname p) -> (
-         match pos_arg args 0 with
+       | Some p when matches Summary.unlock_names (Summary.dname p) -> (
+         match Summary.actual_of_slot args (Pos 0) with
          | Some m ->
            Option.iter (fun l -> out := l :: !out)
-             (lock_of_expr st.di m ~site:e.exp_loc)
+             (lock_of_expr st.ctx m ~site:e.exp_loc)
          | None -> ())
        | _ -> ())
      | _ -> ());
@@ -870,7 +410,7 @@ let rec walk st ~cross (held : hlock list) (e : expression) : hlock list * bool 
              would double-report its accesses as lock-free *)
           match vb.vb_pat.pat_desc with
           | Tpat_var (id, _)
-            when Hashtbl.mem st.di.funs (Ident.unique_name id) -> h
+            when Hashtbl.mem st.ctx.Summary.funs (Ident.unique_name id) -> h
           | _ -> fst (walk st ~cross h vb.vb_expr))
         held vbs
     in
@@ -904,7 +444,7 @@ let rec walk st ~cross (held : hlock list) (e : expression) : hlock list * bool 
       in
       join_branches branches h
   | Texp_try (b, cases) ->
-    let masked = List.exists catch_all_case cases in
+    let masked = List.exists Summary.catch_all_case cases in
     if masked then st.w_mask <- st.w_mask + 1;
     let bb = walk st ~cross held b in
     if masked then st.w_mask <- st.w_mask - 1;
@@ -925,7 +465,7 @@ let rec walk st ~cross (held : hlock list) (e : expression) : hlock list * bool 
          (* containers report Use: touching a Hashtbl/Queue through the
             field is a consistency question regardless of direction *)
          note_access st ~cross h ~cls:(field_cls r lbl) ~kind:k
-           ~roots:(Flow.roots st.di.flow r) ~site:e.exp_loc
+           ~roots:(Flow.roots st.ctx r) ~site:e.exp_loc
            ~descr:(pname r ^ "." ^ lbl.Types.lbl_name)
        | None -> ());
     (h, d)
@@ -936,7 +476,7 @@ let rec walk st ~cross (held : hlock list) (e : expression) : hlock list * bool 
        match interesting_field lbl with
        | Some _ ->
          note_access st ~cross h ~cls:(field_cls r lbl) ~kind:Write
-           ~roots:(Flow.roots st.di.flow r) ~site:e.exp_loc
+           ~roots:(Flow.roots st.ctx r) ~site:e.exp_loc
            ~descr:(pname r ^ "." ^ lbl.Types.lbl_name)
        | None -> ());
     (h, d)
@@ -996,7 +536,7 @@ and walk_args st ~cross held ?(closures = `Defer) ?(op = "") args =
       match a with
       | None -> h
       | Some (a : expression) ->
-        if is_fun a then begin
+        if Summary.is_fun a then begin
           (match closures with
            | `Now -> (
              match a.exp_desc with
@@ -1024,30 +564,30 @@ and walk_apply st ~cross held (e : expression) fn args =
     emit_raise st "an applied function value" site h;
     (h, false)
   | Some p -> (
-    let kind, name = classify st.t st.di p in
+    let kind, name = Summary.classify st.ctx p in
     match kind with
     | Clock -> (
-      match pos_arg args 0 with
+      match Summary.actual_of_slot args (Pos 0) with
       | Some m -> (
-        match lock_of_expr st.di m ~site with
+        match lock_of_expr st.ctx m ~site with
         | Some l -> (acquire st held l ~protected:false ~site, false)
         | None -> (held, false))
       | None -> (held, false))
     | Cunlock -> (
-      match pos_arg args 0 with
+      match Summary.actual_of_slot args (Pos 0) with
       | Some m -> (
-        match lock_of_expr st.di m ~site with
+        match lock_of_expr st.ctx m ~site with
         | Some l -> (release held l, false)
         | None -> (held, false))
       | None -> (held, false))
     | Cprotect -> (
       (* Mutex.protect m f: m is exception-protected for f's extent *)
-      match (pos_arg args 0, pos_arg args 1) with
+      match Summary.(actual_of_slot args (Pos 0), actual_of_slot args (Pos 1)) with
       | Some m, Some f -> (
-        match lock_of_expr st.di m ~site with
+        match lock_of_expr st.ctx m ~site with
         | Some l ->
           let h = acquire st held l ~protected:true ~site in
-          (if is_fun f then
+          (if Summary.is_fun f then
              match f.exp_desc with
              | Texp_function { cases; _ } ->
                List.iter (fun c -> ignore (walk_case st ~cross h c)) cases
@@ -1063,7 +603,7 @@ and walk_apply st ~cross held (e : expression) fn args =
           (held, false))
       | _ -> (walk_args st ~cross held ~closures:`Now args, false))
     | Cfun_protect ->
-      let fin = lab_arg args "finally" in
+      let fin = Summary.actual_of_slot args (Lab "finally") in
       let unlocked =
         match fin with Some f -> unlocks_in_finally st f | None -> []
       in
@@ -1076,8 +616,8 @@ and walk_apply st ~cross held (e : expression) fn args =
           held
       in
       (match fin with Some f -> ignore (walk st ~cross held (unwrap_fun f)) | None -> ());
-      (match pos_arg args 0 with
-       | Some thunk when is_fun thunk -> (
+      (match Summary.actual_of_slot args (Pos 0) with
+       | Some thunk when Summary.is_fun thunk -> (
          match thunk.exp_desc with
          | Texp_function { cases; _ } ->
            List.iter (fun c -> ignore (walk_case st ~cross marked c)) cases
@@ -1088,19 +628,20 @@ and walk_apply st ~cross held (e : expression) fn args =
       (List.fold_left release held unlocked, false)
     | Catomic_get -> (walk_args st ~cross held args, false)
     | Catomic_set ->
-      (match (pos_arg args 0, pos_arg args 1) with
+      (match Summary.(actual_of_slot args (Pos 0), actual_of_slot args (Pos 1)) with
        | Some a, Some v ->
-         let aroots = Flow.roots st.di.flow a in
+         let aroots = Flow.roots st.ctx a in
          (* a payload that IS the saved get (no computation) is the
             save/restore idiom, not a read-modify-write *)
          let pure_restore =
            match v.exp_desc with
            | Texp_ident (Path.Pident id, _, _) ->
-             Hashtbl.mem st.di.atomic_gets (Ident.unique_name id)
+             Hashtbl.mem st.ctx.Summary.atomic_gets (Ident.unique_name id)
            | Texp_apply (gfn, gargs) -> (
              match Paths.applied_path gfn with
-             | Some gp when matches atomic_get_names (dname gp) ->
-               pos_arg gargs 0 <> None
+             | Some gp
+               when matches Summary.atomic_get_names (Summary.dname gp) ->
+               Summary.actual_of_slot gargs (Pos 0) <> None
              | _ -> false)
            | _ -> false
          in
@@ -1130,7 +671,7 @@ and walk_apply st ~cross held (e : expression) fn args =
       else begin
         st.w_inline <- key :: st.w_inline;
         let r =
-          match Hashtbl.find_opt st.di.funs key with
+          match Hashtbl.find_opt st.ctx.Summary.funs key with
           | Some { exp_desc = Texp_function { cases; _ }; _ } ->
             let branches = List.map (walk_case st ~cross h) cases in
             join_branches branches h
@@ -1141,19 +682,19 @@ and walk_apply st ~cross held (e : expression) fn args =
       end
     | Cresolved d ->
       let h = walk_args st ~cross held ~op:name args in
-      let s = sum_of st.t d.Callgraph.qname in
-      if s.s_raise then emit_raise st (d.Callgraph.qname ^ " (may raise)") site h;
-      if s.s_blocks then emit_block st (d.Callgraph.qname ^ " (may block)") site h;
+      let s = Summary.conc_of st.ctx.Summary.env d in
+      if s.may_raise then emit_raise st (d.Callgraph.qname ^ " (may raise)") site h;
+      if s.may_block then emit_block st (d.Callgraph.qname ^ " (may block)") site h;
       (* instantiate the callee's acquisitions against this call *)
       List.iter
         (fun (i, trail, cls) ->
-          match pos_arg args i with
+          match Summary.actual_of_slot args (Pos i) with
           | Some actual ->
             let roots =
               List.map
                 (fun (r : Flow.root) ->
                   { r with Flow.rev_fields = trail @ r.Flow.rev_fields })
-                (Flow.roots st.di.flow actual)
+                (Flow.roots st.ctx actual)
             in
             List.iter
               (fun hl ->
@@ -1172,10 +713,10 @@ and walk_apply st ~cross held (e : expression) fn args =
                          site }))
               h
           | None -> ())
-        s.s_pacq;
+        s.pacq;
       List.iter
         (fun (c, k) ->
-          (match k with Kmod -> st.emit (Mod_lock_seen c) | _ -> ());
+          (match k with Summary.Kmod -> st.emit (Mod_lock_seen c) | _ -> ());
           List.iter
             (fun hl ->
               match (hl.h_lock.l_kind, hl.h_lock.l_cls) with
@@ -1191,7 +732,7 @@ and walk_apply st ~cross held (e : expression) fn args =
                   st.emit (Order_edge { held_cls = hc; acq_cls = c; site })
               | _ -> ())
             h)
-        s.s_acq;
+        s.acq;
       (h, false)
     | Cunknown ->
       let h = walk_args st ~cross held ~op:name args in
@@ -1207,7 +748,7 @@ and walk_hof st ~cross held name args =
       match a with
       | None -> h
       | Some (a : expression) ->
-        if is_fun a then begin
+        if Summary.is_fun a then begin
           (match a.exp_desc with
            | Texp_function { cases; _ } ->
              List.iter (fun c -> ignore (walk_case st ~cross h c)) cases
@@ -1229,12 +770,12 @@ and walk_hof st ~cross held name args =
         then begin
           (match Paths.applied_path a with
            | Some p -> (
-             match classify st.t st.di p with
+             match Summary.classify st.ctx p with
              | Cresolved d, _ ->
-               let s = sum_of st.t d.Callgraph.qname in
-               if s.s_raise then
+               let s = Summary.conc_of st.ctx.Summary.env d in
+               if s.may_raise then
                  emit_raise st (d.Callgraph.qname ^ " (may raise)") a.exp_loc h;
-               if s.s_blocks then
+               if s.may_block then
                  emit_block st (d.Callgraph.qname ^ " (may block)") a.exp_loc h
              | (Csafe | Chof), _ -> ()
              | _ -> emit_raise st (name ^ " callback") a.exp_loc h)
@@ -1247,56 +788,15 @@ and walk_hof st ~cross held name args =
         end)
     held args
 
-let walk_def t (d : Callgraph.def) ~emit =
-  match Hashtbl.find_opt t.dinfos d.Callgraph.qname with
-  | None -> ()
-  | Some di ->
-    let st =
-      { t;
-        di;
-        emit;
-        w_blocking_ok = blocking_ok d.Callgraph.def_attrs;
-        w_mask = 0;
-        w_inline = [] }
-    in
-    let cross = crossing t d.Callgraph.qname in
-    List.iter (fun vb -> ignore (walk st ~cross [] vb.vb_expr)) d.Callgraph.prelude;
-    ignore (walk st ~cross [] d.Callgraph.body)
-
-(* --- analyze -------------------------------------------------------------- *)
-
-let max_rounds = 12
-
-let analyze env =
-  let cg = Summary.callgraph env in
-  let defs = Callgraph.defs cg in
-  let t =
-    { env;
-      sums = Hashtbl.create 256;
-      cross_set = Hashtbl.create 64;
-      dinfos = Hashtbl.create 256 }
+let walk_def t (s : Summary.fsum) ~emit =
+  let d = s.Summary.fdef in
+  let st =
+    { ctx = s.Summary.ctx;
+      emit;
+      w_blocking_ok = Summary.blocking_ok d.Callgraph.def_attrs;
+      w_mask = 0;
+      w_inline = [] }
   in
-  List.iter
-    (fun (d : Callgraph.def) ->
-      Hashtbl.replace t.dinfos d.Callgraph.qname (mk_dinfo env d);
-      Hashtbl.replace t.sums d.Callgraph.qname empty_sum)
-    defs;
-  crossing_prepass t;
-  let changed = ref true in
-  let round = ref 0 in
-  while !changed && !round < max_rounds do
-    changed := false;
-    incr round;
-    List.iter
-      (fun (d : Callgraph.def) ->
-        match Hashtbl.find_opt t.dinfos d.Callgraph.qname with
-        | None -> ()
-        | Some di ->
-          let fresh = compute_effects t di in
-          if fresh <> sum_of t d.Callgraph.qname then begin
-            changed := true;
-            Hashtbl.replace t.sums d.Callgraph.qname fresh
-          end)
-      defs
-  done;
-  t
+  let cross = crossing t d.Callgraph.qname in
+  List.iter (fun vb -> ignore (walk st ~cross [] vb.vb_expr)) d.Callgraph.prelude;
+  ignore (walk st ~cross [] d.Callgraph.body)

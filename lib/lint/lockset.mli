@@ -1,10 +1,12 @@
 (** Lockset analysis engine for the RAC race/deadlock pass.
 
-    Computes, over the whole {!Callgraph}, per-definition concurrency
-    summaries (may-raise / may-block / locks-acquired) and walks every
-    definition body with a path-sensitive *held lockset* — which mutexes
-    are held, and whether each is exception-protected — emitting typed
-    events the {!Races} pass turns into RAC001-005 diagnostics.
+    Over the {!Summary} fixpoint (whose concurrency half records, per
+    definition, may-raise / may-block / locks-acquired), this module
+    resolves lock identity, computes which definitions run under another
+    domain, and walks every definition body with a path-sensitive *held
+    lockset* — which mutexes are held, and whether each is
+    exception-protected — emitting typed events the {!Races} pass turns
+    into RAC001-005 diagnostics.
 
     Polarity differs deliberately from UNT/ALS: an *unresolved* call made
     while a lock is held counts as "may raise" (RAC002 evidence), because
@@ -13,16 +15,10 @@
     conservative "unknown never fires" contract: unknown lock identities
     are not tracked, unknown aliasing convicts nothing. *)
 
-type lock_kind =
-  | Kmod    (** module-level mutex: the class names one instance *)
-  | Kfield  (** record-field mutex: one class, many instances *)
-  | Klocal  (** let-bound in the current definition *)
-  | Kparam  (** passed in as a bare parameter *)
-
 type lock = {
   l_cls : string option;
       (** static class: ["Store.t.pending_lock"], ["Memo.registry_lock"] *)
-  l_kind : lock_kind;
+  l_kind : Summary.lock_kind;
   l_roots : Summary.Flow.root list;  (** instance identity within one def *)
   l_name : string;                   (** printable site name ("t.pending_lock") *)
   l_site : Location.t;               (** acquisition site *)
@@ -66,18 +62,13 @@ type event =
 type t
 
 val analyze : Summary.env -> t
-(** Fixpoint of the per-definition summaries (monotone, bounded rounds)
-    plus the domain-crossing reachability set seeded at
+(** The domain-crossing reachability set, seeded at
     [Exec.map*]/[Pool.map]/[Domain.spawn] call sites. *)
 
 val crossing : t -> string -> bool
 (** Is the named definition reachable from a domain-crossing closure? *)
 
-val blocking_ok : Parsetree.attributes -> bool
-(** [[@blocking_ok]] on the binding: by-design IO under a lock; suppresses
-    RAC005 in the definition and stops may-block propagation to callers. *)
-
-val walk_def : t -> Callgraph.def -> emit:(event -> unit) -> unit
+val walk_def : t -> Summary.fsum -> emit:(event -> unit) -> unit
 (** Walk one definition with the held-lockset abstract interpretation,
     emitting events.  Branch joins keep a lock held only when every
     non-diverging branch holds it; nested let-bound functions are inlined

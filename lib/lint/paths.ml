@@ -43,6 +43,12 @@ let demangle name =
   in
   String.concat "." (List.map strip_component (String.split_on_char '.' name))
 
+(* Source name of an [Ident.unique_name]: "x_123" -> "x". *)
+let strip_stamp unique =
+  match String.rindex_opt unique '_' with
+  | Some i when i > 0 -> String.sub unique 0 i
+  | _ -> unique
+
 (* [suffix_matches ~candidates name] — does [name] equal a candidate or end
    with ".candidate"?  Suffix matching makes "Exec.Pool.map" hit the
    "Pool.map" target and lets fixtures define local modules with the same

@@ -16,6 +16,9 @@ val demangle : string -> string
     ("Device__Params.physical" -> "Params.physical"), so signature tables
     can be written against source-level names. *)
 
+val strip_stamp : string -> string
+(** The source name inside an [Ident.unique_name]: ["x_123"] -> ["x"]. *)
+
 val suffix_matches : candidates:string list -> string -> bool
 (** Does the name equal a candidate or end with [".candidate"]?  Lets
     "Exec.Pool.map" match the "Pool.map" target. *)

@@ -1,10 +1,10 @@
 (* RAC001-005 — race, deadlock and lock-discipline diagnostics.
 
-   The {!Lockset} engine does the heavy lifting (per-definition effect
-   summaries, domain-crossing reachability, the held-lockset walk); this
-   pass is the judge.  Local events (an exception-unsafe critical
-   section, a re-acquired mutex, a torn atomic update, blocking under a
-   lock) become diagnostics directly.  Two verdicts are global and
+   The {!Summary} fixpoint and the {!Lockset} engine do the heavy lifting
+   (per-definition effect summaries, domain-crossing reachability, the
+   held-lockset walk); this pass is the judge.  Local events (an
+   exception-unsafe critical section, a re-acquired mutex, a torn atomic
+   update, blocking under a lock) become diagnostics directly.  Two verdicts are global and
    resolved after every definition has been walked:
 
    - RAC001 convicts a state class (record field or module container) by
@@ -146,9 +146,9 @@ let analyze env : t =
     | Lockset.Mod_lock_seen c -> Hashtbl.replace mod_units (unit_prefix c) ()
   in
   List.iter
-    (fun (d : Callgraph.def) ->
-      Lockset.walk_def ls d ~emit:(handle d.Callgraph.source))
-    (Callgraph.defs (Summary.callgraph env));
+    (fun (s : Summary.fsum) ->
+      Lockset.walk_def ls s ~emit:(handle s.Summary.fdef.Callgraph.source))
+    (Summary.sums env);
 
   (* RAC003, global half: lock-order inversions. *)
   Hashtbl.iter
